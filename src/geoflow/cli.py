@@ -183,8 +183,7 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
     if not (0 <= seed < 2**64):
         raise ConfigError("seed must be an unsigned 64-bit integer")
     solver_options = dict(doc.get("solver", {}))
-    _require_keys(solver_options, {"picard_tol", "max_iters", "constraint_tol"}, set(),
-                  "config.solver")
+    _require_keys(solver_options, {"picard_tol", "max_iters"}, set(), "config.solver")
     options = dict(doc.get("options", {}))
     _require_keys(options, _OPTION_KEYS[kind], set(), "config.options")
 

@@ -15,9 +15,10 @@ Layout conventions
 * ``n x n`` matrix fields are stored row-major: component ``i*n + j`` is
   entry ``(i, j)``.
 
-Nonlinear terms of degree <= 3 are evaluated on a 3/2 zero-padded grid
-(`dealiased_apply`) so that products do not alias back into the resolved
-band.
+Nonlinear terms are evaluated on a 3/2 zero-padded grid
+(`dealiased_apply`).  That de-aliases quadratic products exactly; cubic
+and rational terms such as the curvature kernel A(u)(grad u, grad u),
+which divides by |u|^3 and |u|^5, are only approximately de-aliased.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "gradient_gram",
     "advect",
     "pointwise_norm",
+    "NonFiniteValues",
+    "slicewise",
     "dealiased_apply",
     "cyclic_shift",
     "write_snapshot",
@@ -47,6 +50,10 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = "GEOFLOW1"
+
+# time slices per batched kernel call in `slicewise`; bounds the memory of
+# padded and gradient cubes
+_TIME_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -115,10 +122,14 @@ class GridSpec:
         return out
 
 
+class NonFiniteValues(ValueError):
+    """Field or space-time field values contain NaN or infinity."""
+
+
 def _check_values(values, name):
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteValues(f"{name} contains non-finite values")
     return arr
 
 
@@ -395,19 +406,6 @@ def resample_cube(arr, grid: GridSpec, m_new: int):
     return np.fft.ifftn(hat * scale, axes=axes).real
 
 
-def dealiased_apply(grid: GridSpec, fn, *cubes):
-    """Evaluate a pointwise nonlinearity on the 3/2 zero-padded grid.
-
-    Each input cube is spectrally refined to 3M/2 points per axis, ``fn``
-    is applied there, and the result is truncated back to the resolved
-    band.  Correct de-aliasing for products of degree <= 3 in the inputs.
-    """
-    m_pad = 3 * grid.points_per_axis // 2
-    padded = [resample_cube(c, grid, m_pad) for c in cubes]
-    out = fn(*padded)
-    return _restrict_cube(out, grid, m_pad)
-
-
 def _restrict_cube(arr, grid: GridSpec, m_from: int):
     axes = _axes(arr, grid.dim)
     hat = np.fft.fftn(arr, axes=axes)
@@ -415,6 +413,40 @@ def _restrict_cube(arr, grid: GridSpec, m_from: int):
         hat = _resample_axis(hat, grid.points_per_axis, axis)
     scale = (grid.points_per_axis / m_from) ** grid.dim
     return np.fft.ifftn(hat * scale, axes=axes).real
+
+
+def slicewise(grid: GridSpec, fn, *stacks):
+    """Map ``(steps+1, sites, l)`` stacks through a batched cube kernel.
+
+    ``fn`` gets blocks of 16 slices as ``(b, M, ..., M, l)`` cubes and
+    returns ``(b, M, ..., M) + tail``; the result is ``(steps+1, sites) + tail``.
+    """
+    steps1 = stacks[0].shape[0]
+    out = None
+    for start in range(0, steps1, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        res = fn(*[s[block].reshape((-1,) + grid.shape + s.shape[-1:]) for s in stacks])
+        res = res.reshape((res.shape[0], grid.sites) + res.shape[1 + grid.dim :])
+        if out is None:
+            out = np.empty((steps1,) + res.shape[1:])
+        out[block] = res
+    return out
+
+
+def dealiased_apply(grid: GridSpec, fn, *stacks):
+    """Evaluate a pointwise nonlinearity slicewise on the 3/2 zero-padded grid.
+
+    Each stack is spectrally refined to 3M/2 points per axis, ``fn`` is
+    applied to the padded cubes, and its result is truncated back to the
+    resolved band.  Exact de-aliasing for quadratic products only.
+    """
+    m_pad = 3 * grid.points_per_axis // 2
+
+    def padded(*cubes):
+        fine = fn(*[resample_cube(c, grid, m_pad) for c in cubes])
+        return _restrict_cube(fine, grid, m_pad)
+
+    return slicewise(grid, padded, *stacks)
 
 
 # ---------------------------------------------------------------------------

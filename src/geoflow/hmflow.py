@@ -25,18 +25,19 @@ the sphere raises :class:`~geoflow.manifold.TubeEscape`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .grid import (
     Field,
     GridSpec,
+    NonFiniteValues,
     SpaceTimeField,
+    dealiased_apply,
     gradient_cube,
     laplacian_cube,
-    resample_cube,
-    _restrict_cube,
+    slicewise,
 )
 from .heat import TimeLadder, caloric_extension, duhamel_heat
 from .manifold import SphereTarget, TubeEscape, unit_deviation
@@ -48,14 +49,14 @@ __all__ = [
     "SolveResult",
     "SweepRecord",
     "SweepReport",
+    "picard",
     "picard_map",
     "solve",
+    "sweep",
     "time_march",
     "flow_residual",
     "amplitude_sweep",
 ]
-
-_BLOCK = 16
 
 
 class NoConvergence(RuntimeError):
@@ -72,15 +73,12 @@ class SolverConfig:
     ladder: TimeLadder
     picard_tol: float = 1e-10
     max_iters: int = 60
-    constraint_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.picard_tol > 0):
             raise ValueError("picard_tol must be positive")
         if self.max_iters < 2:
             raise ValueError("max_iters must be >= 2")
-        if not (self.constraint_tol > 0):
-            raise ValueError("constraint_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,27 +108,15 @@ class SolveResult:
         }
 
 
-def _curvature_forcing(values, grid: GridSpec, target: SphereTarget, block: int = _BLOCK):
+def _curvature_forcing(values, grid: GridSpec, target: SphereTarget):
     """Dealiased A(u)(grad u, grad u) per slice: pad, evaluate, truncate."""
-    m_pad = 3 * grid.points_per_axis // 2
-    steps1, _, l = values.shape
-    out = np.empty_like(values)
-    for start in range(0, steps1, block):
-        cube = values[start : start + block].reshape((-1,) + grid.shape + (l,))
-        padded = resample_cube(cube, grid, m_pad)
-        grad = gradient_cube(padded, grid)
-        fine = target.gradient_quadratic(padded, grad)
-        out[start : start + block] = _restrict_cube(fine, grid, m_pad).reshape(-1, grid.sites, l)
-    return out
+    return dealiased_apply(
+        grid, lambda padded: target.gradient_quadratic(padded, gradient_cube(padded, grid)), values
+    )
 
 
-def _laplacian_slices(values, grid: GridSpec, block: int = _BLOCK):
-    steps1, _, l = values.shape
-    out = np.empty_like(values)
-    for start in range(0, steps1, block):
-        cube = values[start : start + block].reshape((-1,) + grid.shape + (l,))
-        out[start : start + block] = laplacian_cube(cube, grid).reshape(-1, grid.sites, l)
-    return out
+def _laplacian_slices(values, grid: GridSpec):
+    return slicewise(grid, lambda cube: laplacian_cube(cube, grid), values)
 
 
 def picard_map(u: SpaceTimeField, u0: Field) -> SpaceTimeField:
@@ -169,6 +155,38 @@ def _ratios(increments):
     return tuple(out)
 
 
+def picard(start, step, increment, finish, cfg: SolverConfig):
+    """Iterate ``step`` from ``start`` until the increment drops below picard_tol.
+
+    ``increment(nxt, current)`` measures each step; ``finish(current,
+    increments, converged)`` assembles the result.  Non-finite values
+    anywhere in a step or its increment count as divergence.  Either way
+    of failing raises NoConvergence carrying the finished partial result.
+    """
+    current = start
+    increments = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        try:
+            nxt = step(current)
+            inc = increment(nxt, current)
+        except NonFiniteValues as err:
+            partial = finish(current, increments, False)
+            raise NoConvergence("iteration diverged (non-finite values)", partial) from err
+        increments.append(inc)
+        current = nxt
+        if inc <= cfg.picard_tol:
+            converged = True
+            break
+    result = finish(current, increments, converged)
+    if not converged:
+        raise NoConvergence(
+            f"no contraction below {cfg.picard_tol:g} within {cfg.max_iters} iterations",
+            result,
+        )
+    return result
+
+
 def solve(u0: Field, cfg: SolverConfig) -> SolveResult:
     """Picard-iterate the Duhamel map from the heat extension of u0.
 
@@ -183,37 +201,15 @@ def solve(u0: Field, cfg: SolverConfig) -> SolveResult:
         raise ValueError(f"data must be sphere-valued; | |u0|-1 | reaches {dev:.3g}")
     target = SphereTarget(u0.components)
     ext = caloric_extension(u0, cfg.ladder)
-    current = ext
-    increments = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        try:
-            forcing = SpaceTimeField(
-                cfg.grid, cfg.ladder.t_final,
-                _curvature_forcing(current.values, cfg.grid, target),
-            )
-            nxt = ext + duhamel_heat(forcing)
-            inc = solution_norm(nxt - current).value
-        except ValueError as err:
-            if "non-finite" in str(err):
-                partial = _result(current, increments, target, converged=False)
-                raise NoConvergence("iteration diverged (non-finite values)", partial) from err
-            raise
-        increments.append(inc)
-        current = nxt
-        if inc <= cfg.picard_tol:
-            converged = True
-            break
-    result = _result(current, increments, target, converged)
-    if not converged:
-        raise NoConvergence(
-            f"no contraction below {cfg.picard_tol:g} within {cfg.max_iters} iterations",
-            result,
-        )
-    return result
+
+    def step(current):
+        forcing = _curvature_forcing(current.values, cfg.grid, target)
+        return ext + duhamel_heat(SpaceTimeField(cfg.grid, cfg.ladder.t_final, forcing))
+
+    return picard(ext, step, lambda nxt, current: solution_norm(nxt - current).value, _result, cfg)
 
 
-def _result(current, increments, target, converged) -> SolveResult:
+def _result(current, increments, converged) -> SolveResult:
     residual = _sup_magnitude(flow_residual(current).values) if converged else math.inf
     return SolveResult(
         solution=current,
@@ -266,15 +262,7 @@ class SweepRecord:
     amplification: float
 
     def to_json(self):
-        return {
-            "amplitude": self.amplitude,
-            "data_oscillation": self.data_oscillation,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "contraction": self.contraction,
-            "solution_size": self.solution_size,
-            "amplification": self.amplification,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -299,23 +287,24 @@ def _measured_contraction(ratios) -> float:
     return max(tail) if tail else 0.0
 
 
-def amplitude_sweep(make_data, amplitudes, cfg: SolverConfig) -> SweepReport:
+def sweep(make_data, amplitudes, data_size, solve_one, solution_size) -> SweepReport:
     """Solve across an ascending amplitude ladder, recording convergence.
 
-    make_data(amplitude) must return sphere-valued data on cfg.grid.  For
-    each amplitude the record holds the data oscillation (its largest
-    normalized ball mean oscillation), the measured contraction factor,
-    the solution-norm seminorm, and amplification = solution / data size.
+    For each amplitude, ``data = make_data(amplitude)`` is measured by
+    ``data_size(data)`` and solved by ``solve_one(data)``; a solved or
+    partial result is measured by ``solution_size(result)``.  NoConvergence
+    records the partial result; TubeEscape is reported, not fatal, as a
+    record with no iterations and NaN sizes.
     """
     amps = [float(a) for a in amplitudes]
     if amps != sorted(amps):
         raise ValueError("amplitudes must be ascending")
     records = []
     for a in amps:
-        u0 = make_data(a)
-        data_size = bmo_seminorm(u0, cfg.grid.period / 4.0).value
+        data = make_data(a)
+        oscillation = data_size(data)
         try:
-            res = solve(u0, cfg)
+            res = solve_one(data)
             converged = True
         except NoConvergence as err:
             res = err.result
@@ -327,18 +316,18 @@ def amplitude_sweep(make_data, amplitudes, cfg: SolverConfig) -> SweepReport:
         if res is None:
             size, iters, theta = math.nan, 0, math.nan
         else:
-            size = solution_norm(res.solution).term("seminorm")
+            size = solution_size(res)
             iters = len(res.increments)
             theta = _measured_contraction(res.contraction_estimates)
         records.append(
             SweepRecord(
                 amplitude=a,
-                data_oscillation=data_size,
+                data_oscillation=oscillation,
                 converged=converged,
                 iterations=iters,
                 contraction=theta,
                 solution_size=size,
-                amplification=size / data_size if data_size > 0 else 0.0,
+                amplification=size / oscillation if oscillation > 0 else 0.0,
             )
         )
     threshold = math.nan
@@ -347,3 +336,20 @@ def amplitude_sweep(make_data, amplitudes, cfg: SolverConfig) -> SweepReport:
             break
         threshold = rec.amplitude
     return SweepReport(tuple(records), threshold)
+
+
+def amplitude_sweep(make_data, amplitudes, cfg: SolverConfig) -> SweepReport:
+    """Solve across an ascending amplitude ladder, recording convergence.
+
+    make_data(amplitude) must return sphere-valued data on cfg.grid.  For
+    each amplitude the record holds the data oscillation (its largest
+    normalized ball mean oscillation), the measured contraction factor,
+    the solution-norm seminorm, and amplification = solution / data size.
+    """
+    return sweep(
+        make_data,
+        amplitudes,
+        lambda u0: bmo_seminorm(u0, cfg.grid.period / 4.0).value,
+        lambda u0: solve(u0, cfg),
+        lambda res: solution_norm(res.solution).term("seminorm"),
+    )

@@ -26,28 +26,26 @@ import numpy as np
 from .grid import (
     Field,
     SpaceTimeField,
+    dealiased_apply,
     divergence_cube,
     gradient_cube,
-    resample_cube,
+    slicewise,
     spectral_divergence,
     tensor_divergence_cube,
-    _restrict_cube,
 )
 from .heat import TimeLadder, caloric_extension, duhamel_heat, duhamel_leray_div, _project_hat
 from .hmflow import (
-    NoConvergence,
     SolverConfig,
-    SweepRecord,
     SweepReport,
     _curvature_forcing,
     _laplacian_slices,
-    _measured_contraction,
     _ratios,
     _sup_magnitude,
     _constraint_defect,
-    _BLOCK,
+    picard,
+    sweep,
 )
-from .manifold import SphereTarget, TubeEscape, unit_deviation
+from .manifold import SphereTarget, unit_deviation
 from .norms import bmo_inverse_norm, bmo_seminorm, solution_norm, velocity_norm
 
 __all__ = [
@@ -103,37 +101,26 @@ class LCSolveResult:
         }
 
 
-def _stress_forcing(u_values, d_values, grid, block: int = _BLOCK):
+def _stress_forcing(u_values, d_values, grid):
     """Dealiased stress tensor u x u + grad d o grad d, slicewise, n*n comps."""
-    m_pad = 3 * grid.points_per_axis // 2
-    n = grid.dim
-    steps1 = u_values.shape[0]
-    out = np.empty((steps1, grid.sites, n * n))
-    for start in range(0, steps1, block):
-        ub = u_values[start : start + block].reshape((-1,) + grid.shape + (n,))
-        db = d_values[start : start + block].reshape((-1,) + grid.shape + (3,))
-        up = resample_cube(ub, grid, m_pad)
-        gd = gradient_cube(resample_cube(db, grid, m_pad), grid)
-        stress = up[..., :, None] * up[..., None, :]
-        stress += np.einsum("...il,...jl->...ij", gd, gd)
-        fine = stress.reshape(stress.shape[:-2] + (n * n,))
-        out[start : start + block] = _restrict_cube(fine, grid, m_pad).reshape(-1, grid.sites, n * n)
-    return out
+
+    def stress(up, dp):
+        gd = gradient_cube(dp, grid)
+        out = up[..., :, None] * up[..., None, :]
+        out += np.einsum("...il,...jl->...ij", gd, gd)
+        return out.reshape(out.shape[:-2] + (grid.dim * grid.dim,))
+
+    return dealiased_apply(grid, stress, u_values, d_values)
 
 
-def _advection_forcing(u_values, d_values, grid, block: int = _BLOCK):
+def _advection_forcing(u_values, d_values, grid):
     """Dealiased transport term u . grad d, slicewise."""
-    m_pad = 3 * grid.points_per_axis // 2
-    steps1 = u_values.shape[0]
-    out = np.empty((steps1, grid.sites, 3))
-    for start in range(0, steps1, block):
-        ub = u_values[start : start + block].reshape((-1,) + grid.shape + (grid.dim,))
-        db = d_values[start : start + block].reshape((-1,) + grid.shape + (3,))
-        up = resample_cube(ub, grid, m_pad)
-        gd = gradient_cube(resample_cube(db, grid, m_pad), grid)
-        adv = np.einsum("...i,...il->...l", up, gd)
-        out[start : start + block] = _restrict_cube(adv, grid, m_pad).reshape(-1, grid.sites, 3)
-    return out
+    return dealiased_apply(
+        grid,
+        lambda up, dp: np.einsum("...i,...il->...l", up, gradient_cube(dp, grid)),
+        u_values,
+        d_values,
+    )
 
 
 def velocity_map(state: LCState, u0: Field) -> SpaceTimeField:
@@ -165,12 +152,8 @@ def director_map(state: LCState, d0: Field) -> SpaceTimeField:
 
 def divergence_sup(u: SpaceTimeField) -> float:
     """Largest pointwise |div u| over all slices."""
-    worst = 0.0
-    for start in range(0, u.steps + 1, _BLOCK):
-        cube = u.values[start : start + _BLOCK].reshape((-1,) + u.grid.shape + (u.components,))
-        div = divergence_cube(cube, u.grid)
-        worst = max(worst, float(np.abs(div).max()))
-    return worst
+    div = slicewise(u.grid, lambda cube: divergence_cube(cube, u.grid), u.values)
+    return float(np.abs(div).max())
 
 
 def lc_residuals(state: LCState):
@@ -219,31 +202,14 @@ def solve(u0: Field, d0: Field, cfg: SolverConfig) -> LCSolveResult:
         raise ValueError(f"director data must be unit-length; | |d0|-1 | reaches {dev:.3g}")
     ext_u = caloric_extension(u0, cfg.ladder)
     ext_d = caloric_extension(d0, cfg.ladder)
-    state = LCState(ext_u, ext_d)
-    increments = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        try:
-            new_u = velocity_map(state, u0)
-            new_d = director_map(state, d0)
-            inc = velocity_norm(new_u - state.u).value + solution_norm(new_d - state.d).value
-        except ValueError as err:
-            if "non-finite" in str(err):
-                partial = _result(state, increments, converged=False)
-                raise NoConvergence("iteration diverged (non-finite values)", partial) from err
-            raise
-        increments.append(inc)
-        state = LCState(new_u, new_d)
-        if inc <= cfg.picard_tol:
-            converged = True
-            break
-    result = _result(state, increments, converged)
-    if not converged:
-        raise NoConvergence(
-            f"no contraction below {cfg.picard_tol:g} within {cfg.max_iters} iterations",
-            result,
-        )
-    return result
+    return picard(
+        LCState(ext_u, ext_d),
+        lambda state: LCState(velocity_map(state, u0), director_map(state, d0)),
+        lambda nxt, state: velocity_norm(nxt.u - state.u).value
+        + solution_norm(nxt.d - state.d).value,
+        _result,
+        cfg,
+    )
 
 
 def _result(state: LCState, increments, converged) -> LCSolveResult:
@@ -273,49 +239,13 @@ def amplitude_sweep(make_data, amplitudes, cfg: SolverConfig) -> SweepReport:
     ball oscillation; the solution size combines velocity norm and solution
     seminorm.
     """
-    amps = [float(a) for a in amplitudes]
-    if amps != sorted(amps):
-        raise ValueError("amplitudes must be ascending")
     big_r = cfg.grid.period / 4.0
-    records = []
-    for a in amps:
-        u0, d0 = make_data(a)
-        data_size = (
-            bmo_inverse_norm(u0, big_r, cfg.ladder).value
-            + bmo_seminorm(d0, big_r).value
-        )
-        try:
-            res = solve(u0, d0, cfg)
-            converged = True
-        except NoConvergence as err:
-            res = err.result
-            converged = False
-        except TubeEscape:
-            res = None
-            converged = False
-        if res is None:
-            size, iters, theta = math.nan, 0, math.nan
-        else:
-            size = (
-                velocity_norm(res.state.u).value
-                + solution_norm(res.state.d).term("seminorm")
-            )
-            iters = len(res.increments)
-            theta = _measured_contraction(res.contraction_estimates)
-        records.append(
-            SweepRecord(
-                amplitude=a,
-                data_oscillation=data_size,
-                converged=converged,
-                iterations=iters,
-                contraction=theta,
-                solution_size=size,
-                amplification=size / data_size if data_size > 0 else 0.0,
-            )
-        )
-    threshold = math.nan
-    for rec in records:
-        if not rec.converged:
-            break
-        threshold = rec.amplitude
-    return SweepReport(tuple(records), threshold)
+    return sweep(
+        make_data,
+        amplitudes,
+        lambda data: bmo_inverse_norm(data[0], big_r, cfg.ladder).value
+        + bmo_seminorm(data[1], big_r).value,
+        lambda data: solve(*data, cfg),
+        lambda res: velocity_norm(res.state.u).value
+        + solution_norm(res.state.d).term("seminorm"),
+    )

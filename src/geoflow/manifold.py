@@ -53,16 +53,13 @@ class TubeEscape(RuntimeError):
 
 @dataclass(frozen=True)
 class SphereTarget:
-    """Unit sphere S^{l-1} in R^l with a tube of admissible distances."""
+    """Unit sphere S^{l-1} in R^l; kernels apply on the tube |y| >= 1/4."""
 
     ambient_dim: int
-    tube_radius: float = 0.5
 
     def __post_init__(self):
         if self.ambient_dim < 2:
             raise ValueError(f"ambient_dim must be >= 2, got {self.ambient_dim}")
-        if not (0 < self.tube_radius <= 0.5):
-            raise ValueError(f"tube_radius must lie in (0, 1/2], got {self.tube_radius}")
 
     def _norms(self, y):
         y = np.asarray(y, dtype=np.float64)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, SpaceTimeField, gradient_cube
+from .grid import Field, GridSpec, SpaceTimeField, gradient_cube, slicewise
 from .heat import TimeLadder, caloric_extension
 
 __all__ = [
@@ -287,15 +287,11 @@ def _square_density(f: SpaceTimeField):
     return (f.values**2).sum(axis=2)
 
 
-def _gradient_square_density(f: SpaceTimeField, block: int = 16):
+def _gradient_square_density(f: SpaceTimeField):
     """|grad f|^2 per slice and site, computed in time blocks to bound memory."""
-    grid = f.grid
-    cube = f.cube()
-    out = np.empty((f.steps + 1, grid.sites))
-    for start in range(0, f.steps + 1, block):
-        g = gradient_cube(cube[start : start + block], grid)
-        out[start : start + block] = (g**2).sum(axis=(-2, -1)).reshape(-1, grid.sites)
-    return out
+    return slicewise(
+        f.grid, lambda cube: (gradient_cube(cube, f.grid) ** 2).sum(axis=(-2, -1)), f.values
+    )
 
 
 def _weighted_sup(density, times, weight):

@@ -36,3 +36,22 @@ def ladder():
 @pytest.fixture
 def ladder_fine():
     return TimeLadder(0.25, 64)
+
+
+@pytest.fixture
+def nan_on_call():
+    """Wrap a forcing so that its output holds a NaN from the given call on."""
+
+    def wrap(original, call):
+        calls = []
+
+        def forcing(*args):
+            calls.append(1)
+            out = original(*args)
+            if len(calls) >= call:
+                out[0, 0, 0] = np.nan
+            return out
+
+        return forcing
+
+    return wrap

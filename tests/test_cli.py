@@ -88,6 +88,11 @@ def test_unknown_option_rejected(tmp_path):
         base_config(family={"name": "taylor-green"}, options={"bogus": True}),
     )
     assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    cfg = write_config(
+        tmp_path,
+        base_config(family={"name": "taylor-green"}, solver={"constraint_tol": 1e-6}),
+    )
+    assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_verify_takes_no_family():

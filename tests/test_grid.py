@@ -25,7 +25,7 @@ from geoflow import (
     tensor_product,
     write_snapshot,
 )
-from geoflow.grid import resample_cube
+from geoflow.grid import _restrict_cube, dealiased_apply, resample_cube, slicewise
 
 TWO_PI = 2.0 * np.pi
 
@@ -316,6 +316,35 @@ def test_resample_preserves_resolved_modes(grid1d):
     up = resample_cube(f.cube(), grid1d, 96)
     x_fine = np.arange(96) * (TWO_PI / 96)
     assert np.abs(up[:, 0] - np.sin(3.0 * x_fine)).max() <= 1e-12
+
+
+def band_limited_stack(rng, grid, slices, comps):
+    """Random (slices, sites, comps) stack with the Nyquist modes removed."""
+    axes = tuple(range(1, 1 + grid.dim))
+    hat = np.fft.fftn(rng.standard_normal((slices,) + grid.shape + (comps,)), axes=axes)
+    k = np.fft.fftfreq(grid.points_per_axis, 1.0 / grid.points_per_axis)
+    keep = np.abs(k) < grid.points_per_axis // 2
+    hat *= np.multiply.outer(keep, keep)[None, :, :, None]
+    return np.fft.ifftn(hat, axes=axes).real.reshape(slices, grid.sites, comps)
+
+
+def test_dealiased_apply_is_exact_for_quadratic_products(grid2d):
+    # 37 slices: two full 16-slice blocks and a ragged one
+    rng = np.random.default_rng(7)
+    a, b = (band_limited_stack(rng, grid2d, 37, 2) for _ in range(2))
+    product = dealiased_apply(grid2d, lambda x, y: x * y, a, b)
+    # reference: multiply on the 2M grid, where the product is resolved
+    fine = [resample_cube(s.reshape((37,) + grid2d.shape + (2,)), grid2d, 32) for s in (a, b)]
+    exact = _restrict_cube(fine[0] * fine[1], grid2d, 32).reshape(37, grid2d.sites, 2)
+    assert product.shape == (37, grid2d.sites, 2)
+    assert np.abs(product - exact).max() <= 1e-12
+    assert np.abs(a * b - exact).max() > 1e-3  # the unpadded product aliases
+
+
+def test_slicewise_restacks_kernel_output(grid2d):
+    a = band_limited_stack(np.random.default_rng(8), grid2d, 37, 3)
+    out = slicewise(grid2d, lambda cube: (cube**2).sum(axis=-1), a)
+    assert np.array_equal(out, (a**2).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from geoflow import (
     unit_deviation,
 )
 from geoflow.families import forcing_family, oscillatory_angle
+from geoflow.grid import NonFiniteValues
 from geoflow.hmflow import picard_map, time_march
 from geoflow.norms import _time_index
 
@@ -181,6 +182,27 @@ def test_no_convergence_carries_partial_result(grid2d, ladder):
     assert not partial.converged
     assert len(partial.increments) == 2
     assert math.isinf(partial.residual_sup)
+
+
+def test_non_finite_iterate_reports_divergence(grid2d, ladder, monkeypatch, nan_on_call):
+    monkeypatch.setattr(hmflow, "_curvature_forcing", nan_on_call(hmflow._curvature_forcing, 3))
+    cfg = SolverConfig(grid2d, ladder, picard_tol=1e-14)
+    with pytest.raises(NoConvergence, match="iteration diverged") as info:
+        hmflow.solve(oscillatory_angle(grid2d, 0.4, 1, 3), cfg)
+    assert isinstance(info.value.__cause__, NonFiniteValues)
+    partial = info.value.result
+    assert not partial.converged
+    assert len(partial.increments) == 2
+    assert math.isinf(partial.residual_sup)
+
+
+def test_other_value_errors_propagate_through_the_driver(grid2d, ladder, monkeypatch):
+    def broken(*args):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(hmflow, "_curvature_forcing", broken)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        hmflow.solve(oscillatory_angle(grid2d, 0.4, 1, 3), SolverConfig(grid2d, ladder))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from geoflow import (
     velocity_norm,
 )
 from geoflow.families import hedgehog_data, oscillatory_angle, stream_velocity, taylor_green
+from geoflow.grid import NonFiniteValues
 from geoflow.hmflow import picard_map
 from geoflow.lcflow import director_map, divergence_sup, lc_residuals, velocity_map
 
@@ -197,6 +198,21 @@ def test_no_convergence_carries_partial_result(grid2d, ladder):
     assert not partial.converged
     assert math.isinf(partial.residual_u_sup)
     assert len(partial.increments) == 2
+
+
+def test_non_finite_iterate_reports_divergence(grid2d, ladder, monkeypatch, nan_on_call):
+    monkeypatch.setattr(lcflow, "_stress_forcing", nan_on_call(lcflow._stress_forcing, 3))
+    cfg = SolverConfig(grid2d, ladder, picard_tol=1e-14)
+    u0 = stream_velocity(grid2d, 0.3, seed=13)
+    d0 = oscillatory_angle(grid2d, 0.3, 1, 3)
+    with pytest.raises(NoConvergence, match="iteration diverged") as info:
+        lcflow.solve(u0, d0, cfg)
+    assert isinstance(info.value.__cause__, NonFiniteValues)
+    partial = info.value.result
+    assert not partial.converged
+    assert len(partial.increments) == 2
+    assert math.isinf(partial.residual_u_sup)
+    assert math.isinf(partial.residual_d_sup)
 
 
 def test_residuals_refine_with_the_ladder(grid2d):

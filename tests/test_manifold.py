@@ -87,10 +87,6 @@ def test_curvature_kernel_matches_fd_hessian_ambient_two():
 def test_target_validation():
     with pytest.raises(ValueError):
         SphereTarget(1)
-    with pytest.raises(ValueError):
-        SphereTarget(3, tube_radius=0.6)
-    with pytest.raises(ValueError):
-        SphereTarget(3, tube_radius=0.0)
 
 
 def test_projection_examples():
