@@ -186,6 +186,9 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
     _require_keys(solver_options, {"picard_tol", "max_iters"}, set(), "config.solver")
     options = dict(doc.get("options", {}))
     _require_keys(options, _OPTION_KEYS[kind], set(), "config.options")
+    for j in map(int, options.get("snapshot_slices", [])):
+        if not (0 <= j <= ladder.steps):
+            raise ConfigError(f"snapshot slice {j} outside the ladder")
 
     family = doc.get("family")
     if kind == "solve-lc":
@@ -266,8 +269,6 @@ def _run_extend(cfg: ExperimentConfig) -> int:
     ext = caloric_extension(data, cfg.ladder)
     slices = [int(j) for j in cfg.options.get("snapshot_slices", [0, cfg.ladder.steps])]
     for j in slices:
-        if not (0 <= j <= cfg.ladder.steps):
-            raise ConfigError(f"snapshot slice {j} outside the ladder")
         write_snapshot(ext.slice(j), cfg.out_dir / f"extend_slice_{j:04d}.dat")
     big_r = cfg.grid.period / 4.0
     report = {
@@ -321,8 +322,6 @@ def _run_norms(cfg: ExperimentConfig) -> int:
 
 def _snapshot_solution(cfg, st_field, prefix):
     for j in (int(j) for j in cfg.options.get("snapshot_slices", [])):
-        if not (0 <= j <= cfg.ladder.steps):
-            raise ConfigError(f"snapshot slice {j} outside the ladder")
         write_snapshot(st_field.slice(j), cfg.out_dir / f"{prefix}_{j:04d}.dat")
 
 
@@ -526,7 +525,7 @@ def main(argv=None) -> int:
             doc = json.loads(args.config.read_text(encoding="utf-8"))
         cfg = parse_config(doc, args.kind, args.out, args.seed)
         return run(cfg)
-    except (ConfigError, ValueError, OSError, KeyError, TubeEscape) as err:
+    except (ConfigError, ValueError, TypeError, OSError, KeyError, TubeEscape) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

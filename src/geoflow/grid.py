@@ -94,32 +94,35 @@ class GridSpec:
         x = np.arange(self.points_per_axis) * self.spacing
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
-    def wavenumbers(self):
-        """Angular wavenumbers 2*pi*k/L per axis (fftfreq ordering)."""
-        m = self.points_per_axis
-        k = np.fft.fftfreq(m, d=self.spacing) * (2.0 * np.pi)
-        return [k.copy() for _ in range(self.dim)]
-
     def derivative_wavenumbers(self):
-        """Wavenumbers for odd-derivative multipliers: Nyquist bin zeroed.
-
-        The Nyquist mode is self-conjugate, so an odd multiplier there would
-        break conjugate symmetry and leak imaginary parts; the standard
-        pseudospectral convention sets its first derivative to zero.
-        """
-        ks = self.wavenumbers()
-        for k in ks:
-            k[len(k) // 2] = 0.0
-        return ks
+        """Wavenumbers for odd-derivative multipliers per axis: Nyquist bin zeroed."""
+        return [_wavenumbers(self.period, self.points_per_axis, odd=True) for _ in range(self.dim)]
 
     def squared_wavenumbers(self):
         """Cube of |xi|^2 over all modes."""
-        ks = self.wavenumbers()
-        cubes = np.meshgrid(*ks, indexing="ij")
-        out = np.zeros(self.shape)
-        for c in cubes:
-            out += c * c
-        return out
+        return _squared_wavenumbers(self.period, self.shape)
+
+
+def _wavenumbers(period, m, odd=False):
+    """Angular wavenumbers 2*pi*k/L of an m-point axis (fftfreq ordering).
+
+    With ``odd`` the Nyquist bin is zeroed, for odd-derivative multipliers:
+    the Nyquist mode is self-conjugate, so an odd multiplier there would
+    break conjugate symmetry and leak imaginary parts; the standard
+    pseudospectral convention sets its first derivative to zero.
+    """
+    k = np.fft.fftfreq(m, d=period / m) * (2.0 * np.pi)
+    if odd:
+        k[m // 2] = 0.0
+    return k
+
+
+def _squared_wavenumbers(period, shape):
+    """Cube of |xi|^2 over all modes of the given axis lengths (padded cubes too)."""
+    out = np.zeros(shape)
+    for c in np.meshgrid(*[_wavenumbers(period, m) for m in shape], indexing="ij"):
+        out += c * c
+    return out
 
 
 class NonFiniteValues(ValueError):
@@ -268,6 +271,10 @@ class SpaceTimeField:
     def from_slices(cls, grid: GridSpec, t_final: float, fields) -> "SpaceTimeField":
         return cls(grid, t_final, np.stack([f.values for f in fields], axis=0))
 
+    def sup_norm(self) -> float:
+        """Largest pointwise Euclidean magnitude over all slices."""
+        return float(np.sqrt((self.values**2).sum(axis=-1)).max(initial=0.0))
+
     def __add__(self, other):
         self._compatible(other)
         return SpaceTimeField(self.grid, self.t_final, self.values + other.values)
@@ -306,27 +313,10 @@ def _axes(arr, dim):
     return tuple(range(arr.ndim - 1 - dim, arr.ndim - 1))
 
 
-def _axis_wavenumbers(arr, axes, period, odd=False):
-    # derived from the actual axis lengths so padded cubes work too
-    ks = [
-        np.fft.fftfreq(arr.shape[axis], d=period / arr.shape[axis]) * (2.0 * np.pi)
-        for axis in axes
-    ]
-    if odd:
-        # odd-derivative multipliers zero the Nyquist bin: its one-sided
-        # representation cannot carry an odd symbol and keep output real
-        for k in ks:
-            k[len(k) // 2] = 0.0
-    return ks
-
-
 def laplacian_cube(arr, grid: GridSpec):
     axes = _axes(arr, grid.dim)
     hat = np.fft.fftn(arr, axes=axes)
-    ks = _axis_wavenumbers(arr, axes, grid.period)
-    sym = np.zeros([arr.shape[a] for a in axes])
-    for c in np.meshgrid(*ks, indexing="ij"):
-        sym += c * c
+    sym = _squared_wavenumbers(grid.period, tuple(arr.shape[a] for a in axes))
     hat *= -sym.reshape((1,) * (arr.ndim - 1 - grid.dim) + sym.shape + (1,))
     return np.fft.ifftn(hat, axes=axes).real
 
@@ -335,7 +325,8 @@ def gradient_cube(arr, grid: GridSpec):
     """Gradient stack: output shape = batch + spatial + (n, l)."""
     axes = _axes(arr, grid.dim)
     hat = np.fft.fftn(arr, axes=axes)
-    ks = _axis_wavenumbers(arr, axes, grid.period, odd=True)
+    # from the actual axis lengths, so padded cubes work too
+    ks = [_wavenumbers(grid.period, arr.shape[a], odd=True) for a in axes]
     parts = []
     for i, axis in enumerate(axes):
         shape = [1] * arr.ndim
@@ -350,7 +341,8 @@ def divergence_cube(arr, grid: GridSpec):
         raise ValueError("divergence needs exactly n components")
     axes = _axes(arr, grid.dim)
     hat = np.fft.fftn(arr, axes=axes)
-    ks = _axis_wavenumbers(arr, axes, grid.period, odd=True)
+    # from the actual axis lengths, so padded cubes work too
+    ks = [_wavenumbers(grid.period, arr.shape[a], odd=True) for a in axes]
     out = np.zeros(hat.shape[:-1], dtype=complex)
     for i, axis in enumerate(axes):
         shape = [1] * (arr.ndim - 1)
@@ -542,9 +534,13 @@ def read_snapshot(path) -> Field:
         if len(header) != 5 or header[0] != SNAPSHOT_MAGIC:
             raise ValueError(f"not a {SNAPSHOT_MAGIC} snapshot: {path}")
         dim, m, period, comps = int(header[1]), int(header[2]), float(header[3]), int(header[4])
+        if comps < 1:
+            raise ValueError(f"snapshot needs at least one component, header says {comps}")
         grid = GridSpec(dim, m, period)
         raw = fh.read(grid.sites * comps * 8)
         if len(raw) != grid.sites * comps * 8:
             raise ValueError("snapshot payload truncated")
+        if fh.read(1):
+            raise ValueError("snapshot has bytes after its payload")
         values = np.frombuffer(raw, dtype="<f8").reshape(grid.sites, comps)
     return Field(grid, values)

@@ -22,7 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, SpaceTimeField, gradient_gram, advect, tensor_divergence
+from .grid import (
+    Field,
+    GridSpec,
+    SpaceTimeField,
+    advect,
+    gradient_gram,
+    laplacian_cube,
+    slicewise,
+    tensor_divergence,
+    tensor_divergence_cube,
+)
 
 __all__ = [
     "TimeLadder",
@@ -32,6 +42,8 @@ __all__ = [
     "leray_project",
     "duhamel_leray_div",
     "recover_pressure",
+    "heat_residual",
+    "projected_divergence",
 ]
 
 
@@ -57,14 +69,22 @@ class TimeLadder:
         return np.arange(self.steps + 1) * self.dt
 
 
-def _spatial_axes(arr, dim):
-    return tuple(range(arr.ndim - 1 - dim, arr.ndim - 1))
+def _spectrum(f):
+    """Spatial FFT of a Field's or SpaceTimeField's cube, and the axes it ran over."""
+    cube = f.cube()
+    axes = tuple(range(cube.ndim - 1 - f.grid.dim, cube.ndim - 1))
+    return np.fft.fftn(cube, axes=axes), axes
 
 
-def _symbol(grid: GridSpec, batch_ndim: int):
-    # |xi|^2 cube broadcast against (batch..., spatial..., components)
+def _symbol(grid: GridSpec):
+    # |xi|^2 cube broadcast against (spatial..., components)
     lam = grid.squared_wavenumbers()
-    return lam.reshape((1,) * batch_ndim + lam.shape + (1,))
+    return lam.reshape(lam.shape + (1,))
+
+
+def _wavevector(grid: GridSpec):
+    """Odd-derivative wavevector xi (Nyquist zeroed) as a spatial + (n,) array."""
+    return np.stack(np.meshgrid(*grid.derivative_wavenumbers(), indexing="ij"), axis=-1)
 
 
 def heat_semigroup(f: Field, t: float) -> Field:
@@ -73,20 +93,16 @@ def heat_semigroup(f: Field, t: float) -> Field:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
     if t == 0:
         return Field(f.grid, f.values)
-    cube = f.cube()
-    axes = _spatial_axes(cube, f.grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)
-    hat *= np.exp(-t * _symbol(f.grid, 0))
+    hat, axes = _spectrum(f)
+    hat *= np.exp(-t * _symbol(f.grid))
     return Field.from_cube(f.grid, np.fft.ifftn(hat, axes=axes).real)
 
 
 def caloric_extension(f: Field, ladder: TimeLadder) -> SpaceTimeField:
     """Heat evolution of f sampled on the ladder; slice 0 is f itself."""
     grid = f.grid
-    cube = f.cube()
-    axes = _spatial_axes(cube, grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)
-    lam = _symbol(grid, 0)
+    hat, axes = _spectrum(f)
+    lam = _symbol(grid)
     out = np.empty((ladder.steps + 1, grid.sites, f.components))
     out[0] = f.values
     decay = np.exp(-ladder.dt * lam)
@@ -98,7 +114,7 @@ def caloric_extension(f: Field, ladder: TimeLadder) -> SpaceTimeField:
 
 def _duhamel_recursion(f_hat, grid: GridSpec, dt: float):
     """Run the exponential-integrator recursion on spatially transformed slices."""
-    lam = _symbol(grid, 0)
+    lam = _symbol(grid)
     decay = np.exp(-dt * lam)
     weight = np.where(lam > 0, -np.expm1(-dt * lam) / np.where(lam > 0, lam, 1.0), dt)
     out = np.zeros_like(f_hat)
@@ -110,9 +126,7 @@ def _duhamel_recursion(f_hat, grid: GridSpec, dt: float):
 def duhamel_heat(forcing: SpaceTimeField) -> SpaceTimeField:
     """Cumulative heat response int_0^t e^{(t-s) Lap} F(s) ds on the ladder."""
     grid = forcing.grid
-    cube = forcing.cube()
-    axes = _spatial_axes(cube, grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)
+    hat, axes = _spectrum(forcing)
     out_hat = _duhamel_recursion(hat, grid, forcing.dt)
     out = np.fft.ifftn(out_hat, axes=axes).real
     return SpaceTimeField(grid, forcing.t_final, out.reshape(forcing.values.shape))
@@ -125,9 +139,7 @@ def _project_hat(hat, grid: GridSpec):
     is even under k -> -k and real fields stay real.
     """
     n = grid.dim
-    ks = grid.derivative_wavenumbers()
-    cubes = np.meshgrid(*ks, indexing="ij")
-    xi = np.stack(cubes, axis=-1)  # spatial + (n,)
+    xi = _wavevector(grid)
     norm2 = (xi**2).sum(axis=-1)
     safe = np.where(norm2 > 0, norm2, 1.0)
     xi_shaped = xi.reshape((1,) * (hat.ndim - 1 - n) + xi.shape)
@@ -141,9 +153,7 @@ def leray_project(f: Field) -> Field:
     """Project onto divergence-free fields, keeping the mean flow."""
     if f.components != f.grid.dim:
         raise ValueError("Leray projection needs exactly n components")
-    cube = f.cube()
-    axes = _spatial_axes(cube, f.grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)
+    hat, axes = _spectrum(f)
     hat = _project_hat(hat, f.grid)
     return Field.from_cube(f.grid, np.fft.ifftn(hat, axes=axes).real)
 
@@ -158,13 +168,9 @@ def duhamel_leray_div(forcing: SpaceTimeField) -> SpaceTimeField:
     n = grid.dim
     if forcing.components != n * n:
         raise ValueError("matrix forcing needs n*n components")
-    cube = forcing.cube()
-    axes = _spatial_axes(cube, grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)  # (m+1, spatial..., n*n)
+    hat, axes = _spectrum(forcing)  # (m+1, spatial..., n*n)
     rows = hat.reshape(hat.shape[:-1] + (n, n))
-    ks = grid.derivative_wavenumbers()
-    cubes = np.meshgrid(*ks, indexing="ij")
-    xi = np.stack(cubes, axis=-1).reshape((1,) + grid.shape + (1, grid.dim))
+    xi = _wavevector(grid).reshape((1,) + grid.shape + (1, grid.dim))
     div_hat = (rows * (1j * xi)).sum(axis=-1)  # (m+1, spatial..., n)
     g_hat = _project_hat(div_hat, grid)
     out_hat = _duhamel_recursion(g_hat, grid, forcing.dt)
@@ -178,15 +184,29 @@ def recover_pressure(u: Field, d: Field) -> Field:
         raise ValueError("velocity needs n components")
     grid = u.grid
     force = advect(u, u) + tensor_divergence(gradient_gram(d))
-    cube = force.cube()
-    axes = _spatial_axes(cube, grid.dim)
-    hat = np.fft.fftn(cube, axes=axes)
-    ks = grid.derivative_wavenumbers()
-    cubes = np.meshgrid(*ks, indexing="ij")
-    xi = np.stack(cubes, axis=-1)
+    hat, _ = _spectrum(force)
+    xi = _wavevector(grid)
     norm2 = (xi**2).sum(axis=-1)
     safe = np.where(norm2 > 0, norm2, 1.0)
     p_hat = (1j * xi * hat).sum(axis=-1) / safe
     p_hat = np.where(norm2 > 0, p_hat, 0.0)
     pressure = np.fft.ifftn(p_hat, axes=tuple(range(grid.dim))).real
     return Field.from_cube(grid, pressure[..., None])
+
+
+def heat_residual(values, grid: GridSpec, dt: float):
+    """(d_t - Lap) of a (steps+1, sites, l) stack; centered d_t inside, one-sided at the ends."""
+    dvdt = np.gradient(values, dt, axis=0, edge_order=1)
+    return dvdt - slicewise(grid, lambda cube: laplacian_cube(cube, grid), values)
+
+
+def projected_divergence(values, grid: GridSpec):
+    """P div F of a (steps+1, sites, n*n) matrix stack: row divergence, then Leray projection."""
+
+    def project(cube):
+        div = tensor_divergence_cube(cube, grid)
+        axes = tuple(range(1, 1 + grid.dim))
+        hat = np.fft.fftn(div, axes=axes)
+        return np.fft.ifftn(_project_hat(hat, grid), axes=axes).real
+
+    return slicewise(grid, project, values)

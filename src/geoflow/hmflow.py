@@ -5,7 +5,8 @@ The primary solver runs Picard iteration of the integral (Duhamel) map
     T u = u0~ + S[ A(u)(grad u, grad u) ]
 
 on the whole space-time ladder, where u0~ is the heat extension of the
-data and S the cumulative heat response.  The iteration starts from u0~
+data (built once per solve; ``picard_map`` takes it, not the data) and S
+the cumulative heat response.  The iteration starts from u0~
 and is declared converged when the increment, measured in the solution
 norm (amplitude sup + weighted gradient sup + gradient Carleson), drops
 below ``picard_tol``.  Iterates are never renormalized onto the sphere:
@@ -16,6 +17,9 @@ reported ``constraint_defect`` measures how well it does.
 integrator for the same equation.  Both discretizations share the
 left-endpoint forcing rule, so their trajectories agree to the tolerance
 of the fixed point plus O(dt).
+
+The driver ``picard``, the amplitude ``sweep`` and ``curvature_forcing``
+are shared with :mod:`geoflow.lcflow`.
 
 Failure to contract (large data) raises :class:`NoConvergence` carrying
 the partial result; an iterate wandering below the admissible tube around
@@ -36,10 +40,8 @@ from .grid import (
     SpaceTimeField,
     dealiased_apply,
     gradient_cube,
-    laplacian_cube,
-    slicewise,
 )
-from .heat import TimeLadder, caloric_extension, duhamel_heat
+from .heat import TimeLadder, caloric_extension, duhamel_heat, heat_residual
 from .manifold import SphereTarget, TubeEscape, unit_deviation
 from .norms import bmo_seminorm, solution_norm
 
@@ -49,6 +51,7 @@ __all__ = [
     "SolveResult",
     "SweepRecord",
     "SweepReport",
+    "curvature_forcing",
     "picard",
     "picard_map",
     "solve",
@@ -108,44 +111,25 @@ class SolveResult:
         }
 
 
-def _curvature_forcing(values, grid: GridSpec, target: SphereTarget):
-    """Dealiased A(u)(grad u, grad u) per slice: pad, evaluate, truncate."""
+def curvature_forcing(values, grid: GridSpec, target: SphereTarget):
+    """Dealiased A(u)(grad u, grad u) of a (steps+1, sites, l) stack: pad, evaluate, truncate."""
     return dealiased_apply(
         grid, lambda padded: target.gradient_quadratic(padded, gradient_cube(padded, grid)), values
     )
 
 
-def _laplacian_slices(values, grid: GridSpec):
-    return slicewise(grid, lambda cube: laplacian_cube(cube, grid), values)
-
-
-def picard_map(u: SpaceTimeField, u0: Field) -> SpaceTimeField:
-    """One application of the Duhamel fixed-point map; slice 0 stays u0."""
-    if u0.grid != u.grid or u0.components != u.components:
-        raise ValueError("data does not match the iterate")
+def picard_map(u: SpaceTimeField, ext: SpaceTimeField) -> SpaceTimeField:
+    """One Duhamel-map step around the data's heat extension ``ext``; slice 0 stays the data."""
     target = SphereTarget(u.components)
-    ladder = TimeLadder(u.t_final, u.steps)
-    ext = caloric_extension(u0, ladder)
-    forcing = SpaceTimeField(u.grid, u.t_final, _curvature_forcing(u.values, u.grid, target))
+    forcing = SpaceTimeField(u.grid, u.t_final, curvature_forcing(u.values, u.grid, target))
     return ext + duhamel_heat(forcing)
 
 
 def flow_residual(u: SpaceTimeField) -> SpaceTimeField:
     """(d_t - Lap)u - A(u)(grad u, grad u), centered d_t inside, one-sided ends."""
     target = SphereTarget(u.components)
-    dudt = np.gradient(u.values, u.dt, axis=0, edge_order=1)
-    lap = _laplacian_slices(u.values, u.grid)
-    forcing = _curvature_forcing(u.values, u.grid, target)
-    return SpaceTimeField(u.grid, u.t_final, dudt - lap - forcing)
-
-
-def _sup_magnitude(values) -> float:
-    return float(np.sqrt((values**2).sum(axis=-1)).max())
-
-
-def _constraint_defect(values) -> float:
-    norms = np.sqrt((values**2).sum(axis=-1))
-    return float(np.abs(norms - 1.0).max())
+    forcing = curvature_forcing(u.values, u.grid, target)
+    return SpaceTimeField(u.grid, u.t_final, heat_residual(u.values, u.grid, u.dt) - forcing)
 
 
 def _ratios(increments):
@@ -159,9 +143,10 @@ def picard(start, step, increment, finish, cfg: SolverConfig):
     """Iterate ``step`` from ``start`` until the increment drops below picard_tol.
 
     ``increment(nxt, current)`` measures each step; ``finish(current,
-    increments, converged)`` assembles the result.  Non-finite values
-    anywhere in a step or its increment count as divergence.  Either way
-    of failing raises NoConvergence carrying the finished partial result.
+    increments, ratios, converged)`` assembles the result from the
+    increments and their successive ratios.  Non-finite values anywhere
+    in a step or its increment count as divergence.  Either way of
+    failing raises NoConvergence carrying the finished partial result.
     """
     current = start
     increments = []
@@ -171,14 +156,14 @@ def picard(start, step, increment, finish, cfg: SolverConfig):
             nxt = step(current)
             inc = increment(nxt, current)
         except NonFiniteValues as err:
-            partial = finish(current, increments, False)
+            partial = finish(current, increments, _ratios(increments), False)
             raise NoConvergence("iteration diverged (non-finite values)", partial) from err
         increments.append(inc)
         current = nxt
         if inc <= cfg.picard_tol:
             converged = True
             break
-    result = finish(current, increments, converged)
+    result = finish(current, increments, _ratios(increments), converged)
     if not converged:
         raise NoConvergence(
             f"no contraction below {cfg.picard_tol:g} within {cfg.max_iters} iterations",
@@ -199,24 +184,22 @@ def solve(u0: Field, cfg: SolverConfig) -> SolveResult:
     dev = unit_deviation(u0)
     if dev > 1e-12:
         raise ValueError(f"data must be sphere-valued; | |u0|-1 | reaches {dev:.3g}")
-    target = SphereTarget(u0.components)
     ext = caloric_extension(u0, cfg.ladder)
 
     def step(current):
-        forcing = _curvature_forcing(current.values, cfg.grid, target)
-        return ext + duhamel_heat(SpaceTimeField(cfg.grid, cfg.ladder.t_final, forcing))
+        return picard_map(current, ext)
 
     return picard(ext, step, lambda nxt, current: solution_norm(nxt - current).value, _result, cfg)
 
 
-def _result(current, increments, converged) -> SolveResult:
-    residual = _sup_magnitude(flow_residual(current).values) if converged else math.inf
+def _result(current, increments, ratios, converged) -> SolveResult:
+    residual = flow_residual(current).sup_norm() if converged else math.inf
     return SolveResult(
         solution=current,
         increments=tuple(increments),
-        contraction_estimates=_ratios(increments),
+        contraction_estimates=ratios,
         residual_sup=residual,
-        constraint_defect=_constraint_defect(current.values),
+        constraint_defect=unit_deviation(current),
         converged=converged,
     )
 
@@ -240,7 +223,7 @@ def time_march(u0: Field, cfg: SolverConfig, renormalize: bool = False) -> Space
     values[0] = u0.values
     cur = u0.values
     for j in range(ladder.steps):
-        forcing = _curvature_forcing(cur[None], grid, target)[0]
+        forcing = curvature_forcing(cur[None], grid, target)[0]
         cur_hat = np.fft.fftn(cur.reshape(grid.shape + (-1,)), axes=axes)
         f_hat = np.fft.fftn(forcing.reshape(grid.shape + (-1,)), axes=axes)
         nxt = np.fft.ifftn(decay * cur_hat + weight * f_hat, axes=axes).real

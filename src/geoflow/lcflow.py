@@ -6,10 +6,15 @@ The system evolves a divergence-free velocity u and a unit director d:
     d_t d - Lap d + u . grad d = A(d)(grad d, grad d)
 
 with P the Leray projection (pressure never appears) and A the sphere
-curvature kernel.  Both equations are put in Duhamel form and iterated as
-one simultaneous fixed-point map on the pair: each Picard step evaluates
-the velocity map and the director map at the previous iterate.  Increments
-are measured in velocity norm (u part) plus solution norm (d part).
+curvature kernel.  Both equations are put in Duhamel form around the heat
+extensions of the data, built once per solve, and iterated as one
+simultaneous fixed-point map on the pair: each Picard step evaluates the
+velocity map and the director map at the previous iterate, and each map
+takes its extension.  Increments are measured in velocity norm (u part)
+plus solution norm (d part).  The director equation is the harmonic map
+flow plus transport, so the curvature forcing, the Picard driver and the
+sweep come from :mod:`geoflow.hmflow`, and the (d_t - Lap) residual from
+:mod:`geoflow.heat`.
 
 The velocity stays divergence-free structurally (the projected Duhamel
 operator only produces divergence-free fields); the director is never
@@ -31,20 +36,15 @@ from .grid import (
     gradient_cube,
     slicewise,
     spectral_divergence,
-    tensor_divergence_cube,
 )
-from .heat import TimeLadder, caloric_extension, duhamel_heat, duhamel_leray_div, _project_hat
-from .hmflow import (
-    SolverConfig,
-    SweepReport,
-    _curvature_forcing,
-    _laplacian_slices,
-    _ratios,
-    _sup_magnitude,
-    _constraint_defect,
-    picard,
-    sweep,
+from .heat import (
+    caloric_extension,
+    duhamel_heat,
+    duhamel_leray_div,
+    heat_residual,
+    projected_divergence,
 )
+from .hmflow import SolverConfig, SweepReport, curvature_forcing, picard, sweep
 from .manifold import SphereTarget, unit_deviation
 from .norms import bmo_inverse_norm, bmo_seminorm, solution_norm, velocity_norm
 
@@ -123,31 +123,22 @@ def _advection_forcing(u_values, d_values, grid):
     )
 
 
-def velocity_map(state: LCState, u0: Field) -> SpaceTimeField:
-    """Heat extension of u0 minus the projected response to the stress tensor."""
+def velocity_map(state: LCState, ext_u: SpaceTimeField) -> SpaceTimeField:
+    """Heat extension ext_u of the velocity data minus the projected stress response."""
     grid = state.u.grid
-    if u0.grid != grid or u0.components != grid.dim:
-        raise ValueError("velocity data does not match the state")
-    ladder = TimeLadder(state.u.t_final, state.u.steps)
-    ext = caloric_extension(u0, ladder)
     stress = SpaceTimeField(
         grid, state.u.t_final, _stress_forcing(state.u.values, state.d.values, grid)
     )
-    return ext - duhamel_leray_div(stress)
+    return ext_u - duhamel_leray_div(stress)
 
 
-def director_map(state: LCState, d0: Field) -> SpaceTimeField:
-    """Heat extension of d0 plus response to curvature minus transport forcing."""
+def director_map(state: LCState, ext_d: SpaceTimeField) -> SpaceTimeField:
+    """Heat extension ext_d of the director data plus response to curvature minus transport."""
     grid = state.d.grid
-    if d0.grid != grid or d0.components != 3:
-        raise ValueError("director data does not match the state")
-    target = SphereTarget(3)
-    ladder = TimeLadder(state.d.t_final, state.d.steps)
-    ext = caloric_extension(d0, ladder)
-    curvature = _curvature_forcing(state.d.values, grid, target)
+    curvature = curvature_forcing(state.d.values, grid, SphereTarget(3))
     transport = _advection_forcing(state.u.values, state.d.values, grid)
     forcing = SpaceTimeField(grid, state.d.t_final, curvature - transport)
-    return ext + duhamel_heat(forcing)
+    return ext_d + duhamel_heat(forcing)
 
 
 def divergence_sup(u: SpaceTimeField) -> float:
@@ -159,23 +150,12 @@ def divergence_sup(u: SpaceTimeField) -> float:
 def lc_residuals(state: LCState):
     """PDE residuals of both equations as space-time fields (u part, d part)."""
     grid = state.u.grid
-    target = SphereTarget(3)
     dt = state.u.dt
-    dudt = np.gradient(state.u.values, dt, axis=0, edge_order=1)
-    dddt = np.gradient(state.d.values, dt, axis=0, edge_order=1)
-    lap_u = _laplacian_slices(state.u.values, grid)
-    lap_d = _laplacian_slices(state.d.values, grid)
     stress = _stress_forcing(state.u.values, state.d.values, grid)
-    n = grid.dim
-    cube = stress.reshape((-1,) + grid.shape + (n * n,))
-    div_stress = tensor_divergence_cube(cube, grid)
-    axes = tuple(range(1, 1 + grid.dim))
-    hat = np.fft.fftn(div_stress, axes=axes)
-    projected = np.fft.ifftn(_project_hat(hat, grid), axes=axes).real
-    r_u = dudt - lap_u + projected.reshape(-1, grid.sites, n)
-    curvature = _curvature_forcing(state.d.values, grid, target)
+    r_u = heat_residual(state.u.values, grid, dt) + projected_divergence(stress, grid)
+    curvature = curvature_forcing(state.d.values, grid, SphereTarget(3))
     transport = _advection_forcing(state.u.values, state.d.values, grid)
-    r_d = dddt - lap_d - curvature + transport
+    r_d = heat_residual(state.d.values, grid, dt) - curvature + transport
     return (
         SpaceTimeField(grid, state.u.t_final, r_u),
         SpaceTimeField(grid, state.d.t_final, r_d),
@@ -204,7 +184,7 @@ def solve(u0: Field, d0: Field, cfg: SolverConfig) -> LCSolveResult:
     ext_d = caloric_extension(d0, cfg.ladder)
     return picard(
         LCState(ext_u, ext_d),
-        lambda state: LCState(velocity_map(state, u0), director_map(state, d0)),
+        lambda state: LCState(velocity_map(state, ext_u), director_map(state, ext_d)),
         lambda nxt, state: velocity_norm(nxt.u - state.u).value
         + solution_norm(nxt.d - state.d).value,
         _result,
@@ -212,20 +192,20 @@ def solve(u0: Field, d0: Field, cfg: SolverConfig) -> LCSolveResult:
     )
 
 
-def _result(state: LCState, increments, converged) -> LCSolveResult:
+def _result(state: LCState, increments, ratios, converged) -> LCSolveResult:
     if converged:
         r_u, r_d = lc_residuals(state)
-        res_u = _sup_magnitude(r_u.values)
-        res_d = _sup_magnitude(r_d.values)
+        res_u = r_u.sup_norm()
+        res_d = r_d.sup_norm()
     else:
         res_u = res_d = math.inf
     return LCSolveResult(
         state=state,
         increments=tuple(increments),
-        contraction_estimates=_ratios(increments),
+        contraction_estimates=ratios,
         residual_u_sup=res_u,
         residual_d_sup=res_d,
-        constraint_defect=_constraint_defect(state.d.values),
+        constraint_defect=unit_deviation(state.d),
         divergence_sup=divergence_sup(state.u),
         converged=converged,
     )

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, SpaceTimeField, gradient_cube, laplacian_cube
+from .grid import Field, SpaceTimeField, gradient_cube, slicewise
+from .heat import heat_residual
 
 __all__ = [
     "TubeEscape",
@@ -135,9 +136,9 @@ def apply_second_fundamental_form(target: SphereTarget, u: Field, grad_u: Field)
     return Field(u.grid, target.gradient_quadratic(u.values, stack))
 
 
-def unit_deviation(f: Field) -> float:
-    """Largest pointwise | |f| - 1 |: how far the field strays off the sphere."""
-    norm = np.sqrt((f.values**2).sum(axis=1))
+def unit_deviation(f: Field | SpaceTimeField) -> float:
+    """Largest pointwise | |f| - 1 |: how far a field or trajectory strays off the sphere."""
+    norm = np.sqrt((f.values**2).sum(axis=-1))
     return float(np.abs(norm - 1.0).max())
 
 
@@ -149,13 +150,8 @@ def subharmonicity_residual(target: SphereTarget, u: SpaceTimeField) -> SpaceTim
     centered differences inside, one-sided at the ends.
     """
     grid = u.grid
-    rho = target.distance_energy(u.values)  # (m+1, sites)
-    drho = np.gradient(rho, u.dt, axis=0, edge_order=1)
-    lap = laplacian_cube(
-        rho.reshape((u.steps + 1,) + grid.shape + (1,)), grid
-    ).reshape(u.steps + 1, grid.sites)
+    rho = target.distance_energy(u.values)[:, :, None]  # (m+1, sites, 1)
     q = target.defect(u.values)
-    gq = gradient_cube(q.reshape((u.steps + 1,) + grid.shape + (u.components,)), grid)
-    gq_sq = (gq**2).sum(axis=(-2, -1)).reshape(u.steps + 1, grid.sites)
-    residual = drho - lap + gq_sq
-    return SpaceTimeField(grid, u.t_final, residual[:, :, None])
+    gq_sq = slicewise(grid, lambda cube: (gradient_cube(cube, grid) ** 2).sum(axis=(-2, -1)), q)
+    residual = heat_residual(rho, grid, u.dt) + gq_sq[:, :, None]
+    return SpaceTimeField(grid, u.t_final, residual)

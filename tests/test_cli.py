@@ -95,6 +95,35 @@ def test_unknown_option_rejected(tmp_path):
     assert main(["extend", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"grid": dict(GRID, points_per_axis=None)},
+        {"solver": {"picard_tol": "x"}},
+        {"options": {"snapshot_slices": 3}},
+        {"family": {"name": "oscillatory", "amplitude": [1]}},
+    ],
+    ids=["null-points", "string-tol", "scalar-slices", "list-amplitude"],
+)
+def test_wrongly_typed_values_exit_one_with_a_diagnostic(tmp_path, capsys, overrides):
+    doc = base_config(kind="solve-hmf", family={"name": "oscillatory", "amplitude": 0.3})
+    doc.update(overrides)
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve-hmf", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_snapshot_slice_outside_the_ladder_rejected_before_any_work(tmp_path):
+    family = {"name": "oscillatory", "amplitude": 0.3, "ambient_dim": 3}
+    cfg = write_config(
+        tmp_path, base_config(kind="solve-hmf", family=family, options={"snapshot_slices": [999]})
+    )
+    out = tmp_path / "out"
+    assert main(["solve-hmf", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_verify_takes_no_family():
     with pytest.raises(ConfigError):
         parse_config(base_config(family={"name": "modes"}), "verify", "out")

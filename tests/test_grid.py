@@ -123,6 +123,12 @@ def test_space_time_field_needs_enough_steps(grid2d):
         SpaceTimeField(grid2d, 0.1, np.zeros((3, grid2d.sites, 1)))
 
 
+def test_space_time_sup_norm_covers_every_slice(grid2d):
+    values = np.zeros((9, grid2d.sites, 2))
+    values[7, 3] = (3.0, -4.0)
+    assert SpaceTimeField(grid2d, 0.25, values).sup_norm() == 5.0
+
+
 # ---------------------------------------------------------------------------
 # Spectral operators against closed forms and the FD oracles.
 # ---------------------------------------------------------------------------
@@ -360,6 +366,23 @@ def test_snapshot_round_trip_bit_exact(tmp_path, grid3d):
     g = read_snapshot(path)
     assert g.grid == grid3d
     assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize(
+    "header, payload",
+    [
+        (b"GEOFLOW1 2 16 6.0 1\n", bytes(8 * 256 - 1)),  # truncated payload
+        (b"GEOFLOW1 2 16 6.0 1\n", bytes(8 * 256 + 1)),  # one trailing byte
+        (b"GEOFLOW1 2 16 6.0 0\n", b""),  # zero components
+        (b"GEOFLOW2 2 16 6.0 1\n", bytes(8 * 256)),  # bad magic
+    ],
+    ids=["truncated", "trailing-byte", "zero-components", "bad-magic"],
+)
+def test_snapshot_reader_fails_closed(tmp_path, header, payload):
+    path = tmp_path / "field.dat"
+    path.write_bytes(header + payload)
+    with pytest.raises(ValueError):
+        read_snapshot(path)
 
 
 def test_snapshot_header_is_ascii(tmp_path, grid2d):

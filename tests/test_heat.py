@@ -27,6 +27,7 @@ from geoflow import (
     spectral_laplacian,
 )
 from geoflow.families import mode_field, stream_velocity, taylor_green
+from geoflow.heat import heat_residual, projected_divergence
 
 TWO_PI = 2.0 * np.pi
 
@@ -286,6 +287,33 @@ def test_tensor_duhamel_output_divergence_free_3d(grid3d):
         for j in range(lad.steps + 1)
     )
     assert worst <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Parabolic residual and projected divergence on stacks.
+# ---------------------------------------------------------------------------
+
+
+def test_heat_residual_of_mode_linear_in_time(grid2d, ladder):
+    """u = t sin x: the difference quotient is exact, so (d_t - Lap)u = (1 + t) sin x."""
+    x = grid2d.coordinates()[0].reshape(grid2d.sites)
+    t = ladder.times[:, None, None]
+    u = t * np.sin(x)[None, :, None]
+    residual = heat_residual(u, grid2d, ladder.dt)
+    assert np.abs(residual - (1.0 + t) * np.sin(x)[None, :, None]).max() <= 1e-12
+
+
+def test_projected_divergence_kills_gradient_stress(grid2d, ladder):
+    """p * Id has row divergence grad(p), which the projection annihilates;
+    any stress comes out divergence-free.  33 slices cross the block edge."""
+    rng = np.random.default_rng(21)
+    steps1 = ladder.steps + 1
+    p = rng.standard_normal((steps1, grid2d.sites, 1))
+    assert np.abs(projected_divergence(p * np.array([1.0, 0.0, 0.0, 1.0]), grid2d)).max() <= 1e-12
+    out = projected_divergence(rng.standard_normal((steps1, grid2d.sites, 4)), grid2d)
+    assert out.shape == (steps1, grid2d.sites, 2)
+    worst = max(spectral_divergence(Field(grid2d, out[j])).sup_norm() for j in range(steps1))
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------

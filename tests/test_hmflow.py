@@ -30,7 +30,7 @@ from geoflow import (
 )
 from geoflow.families import forcing_family, oscillatory_angle
 from geoflow.grid import NonFiniteValues
-from geoflow.hmflow import picard_map, time_march
+from geoflow.hmflow import curvature_forcing, picard_map, time_march
 from geoflow.norms import _time_index
 
 
@@ -57,7 +57,7 @@ def circle_exact(grid, ladder, amplitude, ambient=2):
 def test_picard_map_fixes_slice_zero(grid2d, ladder):
     u0 = oscillatory_angle(grid2d, 0.3, 1, 3)
     u = caloric_extension(u0, ladder)
-    out = picard_map(u, u0)
+    out = picard_map(u, u)
     assert np.array_equal(out.values[0], u0.values)
 
 
@@ -65,19 +65,19 @@ def test_picard_map_rejects_mismatched_data(grid2d, ladder):
     u0 = oscillatory_angle(grid2d, 0.3, 1, 3)
     u = caloric_extension(u0, ladder)
     with pytest.raises(ValueError):
-        picard_map(u, oscillatory_angle(grid2d, 0.3, 1, 2))
+        picard_map(u, caloric_extension(oscillatory_angle(grid2d, 0.3, 1, 2), ladder))
+    with pytest.raises(ValueError):
+        picard_map(u, caloric_extension(u0, TimeLadder(0.5, ladder.steps)))
 
 
 def test_picard_response_matches_per_mode_recursion(grid1d):
     """The map's correction term equals a scalar left-endpoint recursion
     applied to each Fourier coefficient of its own forcing."""
-    from geoflow.hmflow import _curvature_forcing
-
     lad = TimeLadder(0.25, 32)
     u0 = circle_data(grid1d, 0.3)
     u = caloric_extension(u0, lad)
-    forcing = _curvature_forcing(u.values, grid1d, SphereTarget(2))
-    diff = picard_map(u, u0).values - u.values  # duhamel response to forcing
+    forcing = curvature_forcing(u.values, grid1d, SphereTarget(2))
+    diff = picard_map(u, u).values - u.values  # duhamel response to forcing
 
     m = grid1d.points_per_axis
     f_hat = np.fft.fft(forcing, axis=1) / m  # (steps+1, m, 2) coefficients
@@ -99,13 +99,13 @@ def test_contraction_on_sampled_pairs(grid2d):
     u0 = oscillatory_angle(grid2d, 0.2, 1, 3)
     base = caloric_extension(u0, lad)
     rng = np.random.default_rng(42)
-    t_base = picard_map(base, u0)
+    t_base = picard_map(base, base)
     for _ in range(3):
         pert = SpaceTimeField(
             grid2d, lad.t_final,
             base.values + 0.02 * rng.standard_normal(base.values.shape),
         )
-        num = solution_norm(picard_map(pert, u0) - t_base).value
+        num = solution_norm(picard_map(pert, base) - t_base).value
         den = solution_norm(pert - base).value
         assert num / den < 1.0
 
@@ -170,7 +170,8 @@ def test_solution_satisfies_fixed_point_equation(grid2d, ladder):
     u0 = oscillatory_angle(grid2d, 0.3, 1, 3)
     cfg = SolverConfig(grid2d, ladder)
     res = hmflow.solve(u0, cfg)
-    gap = solution_norm(picard_map(res.solution, u0) - res.solution).value
+    ext = caloric_extension(u0, ladder)
+    gap = solution_norm(picard_map(res.solution, ext) - res.solution).value
     assert gap <= 2.0 * cfg.picard_tol
 
 
@@ -185,7 +186,7 @@ def test_no_convergence_carries_partial_result(grid2d, ladder):
 
 
 def test_non_finite_iterate_reports_divergence(grid2d, ladder, monkeypatch, nan_on_call):
-    monkeypatch.setattr(hmflow, "_curvature_forcing", nan_on_call(hmflow._curvature_forcing, 3))
+    monkeypatch.setattr(hmflow, "curvature_forcing", nan_on_call(hmflow.curvature_forcing, 3))
     cfg = SolverConfig(grid2d, ladder, picard_tol=1e-14)
     with pytest.raises(NoConvergence, match="iteration diverged") as info:
         hmflow.solve(oscillatory_angle(grid2d, 0.4, 1, 3), cfg)
@@ -200,7 +201,7 @@ def test_other_value_errors_propagate_through_the_driver(grid2d, ladder, monkeyp
     def broken(*args):
         raise ValueError("shape mismatch")
 
-    monkeypatch.setattr(hmflow, "_curvature_forcing", broken)
+    monkeypatch.setattr(hmflow, "curvature_forcing", broken)
     with pytest.raises(ValueError, match="shape mismatch"):
         hmflow.solve(oscillatory_angle(grid2d, 0.4, 1, 3), SolverConfig(grid2d, ladder))
 
