@@ -16,17 +16,11 @@ from .grid import (
     Field,
     GridSpec,
     SpaceTimeField,
-    advect,
     cyclic_shift,
-    gradient_gram,
-    multiply,
-    pointwise_norm,
     read_snapshot,
     spectral_divergence,
     spectral_gradient,
     spectral_laplacian,
-    tensor_divergence,
-    tensor_product,
     write_snapshot,
 )
 from .heat import (
@@ -47,7 +41,6 @@ from .norms import (
     bmo_seminorm,
     carleson_bmo,
     cylinder_gradient_square,
-    cylinder_mass,
     cylinder_mean_square,
     forcing_norm,
     solution_norm,
@@ -57,10 +50,6 @@ from .norms import (
 from .manifold import (
     SphereTarget,
     TubeEscape,
-    apply_second_fundamental_form,
-    defect_field,
-    distance_energy_field,
-    project_field,
     subharmonicity_residual,
     unit_deviation,
 )

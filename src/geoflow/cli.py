@@ -94,6 +94,24 @@ class ExperimentConfig:
         }
 
 
+def _integer(value, where):
+    """An integer config value; rejects bools, strings, non-finite and non-integral numbers."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, where):
+    """A finite real config value; rejects bools, strings and numbers beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require_keys(mapping, allowed, required, where):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where}: expected a JSON object")
@@ -123,7 +141,9 @@ def _check_family(spec, where):
     extra = set(spec) - {"name"} - _FAMILY_KEYS[name]
     if extra:
         raise ConfigError(f"{where}: keys {sorted(extra)} not accepted by family {name!r}")
-    return spec
+    # every family key but the amplitude is an integer
+    for key in sorted(set(spec) - {"name"}):
+        (_real if key == "amplitude" else _integer)(spec[key], f"{where}.{key}")
 
 
 def generate_data(family: dict, grid: GridSpec, seed: int) -> Field:
@@ -173,56 +193,54 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
     _require_keys(doc["grid"], {"dim", "points_per_axis", "period"},
                   {"dim", "points_per_axis", "period"}, "config.grid")
     grid = GridSpec(
-        int(doc["grid"]["dim"]),
-        int(doc["grid"]["points_per_axis"]),
-        float(doc["grid"]["period"]),
+        _integer(doc["grid"]["dim"], "config.grid.dim"),
+        _integer(doc["grid"]["points_per_axis"], "config.grid.points_per_axis"),
+        _real(doc["grid"]["period"], "config.grid.period"),
     )
     _require_keys(doc["ladder"], {"t_final", "steps"}, {"t_final", "steps"}, "config.ladder")
-    ladder = TimeLadder(float(doc["ladder"]["t_final"]), int(doc["ladder"]["steps"]))
-    seed = int(doc["seed"]) if seed_override is None else int(seed_override)
+    ladder = TimeLadder(_real(doc["ladder"]["t_final"], "config.ladder.t_final"),
+                        _integer(doc["ladder"]["steps"], "config.ladder.steps"))
+    seed = _integer(doc["seed"] if seed_override is None else seed_override, "seed")
     if not (0 <= seed < 2**64):
         raise ConfigError("seed must be an unsigned 64-bit integer")
+    _require_keys(doc.get("solver", {}), {"picard_tol", "max_iters"}, set(), "config.solver")
     solver_options = dict(doc.get("solver", {}))
-    _require_keys(solver_options, {"picard_tol", "max_iters"}, set(), "config.solver")
+    _real(solver_options.get("picard_tol", 1.0), "config.solver.picard_tol")
+    if "max_iters" in solver_options:
+        solver_options["max_iters"] = _integer(solver_options["max_iters"], "config.solver.max_iters")
+    _require_keys(doc.get("options", {}), _OPTION_KEYS[kind], set(), "config.options")
     options = dict(doc.get("options", {}))
-    _require_keys(options, _OPTION_KEYS[kind], set(), "config.options")
-    for j in map(int, options.get("snapshot_slices", [])):
-        if not (0 <= j <= ladder.steps):
+    if _integer(options.get("count", 20), "config.options.count") < 1:
+        raise ConfigError("options.count must be >= 1")
+    for j in options.get("snapshot_slices", []):
+        if not (0 <= _integer(j, "config.options.snapshot_slices") <= ladder.steps):
             raise ConfigError(f"snapshot slice {j} outside the ladder")
 
     family = doc.get("family")
-    if kind == "solve-lc":
-        if family is None:
-            raise ConfigError("config.family is required")
+    flow = options.get("flow", "hmf")
+    if kind == "sweep":
+        if flow not in ("hmf", "lc"):
+            raise ConfigError("options.flow must be 'hmf' or 'lc'")
+        if "amplitudes" not in options:
+            raise ConfigError("options.amplitudes is required for sweep")
+        for amp in options["amplitudes"]:
+            _real(amp, "config.options.amplitudes")
+    if kind == "verify":
+        if family:
+            raise ConfigError("verify takes no family")
+    elif family is None:
+        raise ConfigError("config.family is required")
+    elif kind == "solve-lc" or (kind == "sweep" and flow == "lc"):
         _require_keys(family, {"velocity", "director"}, {"velocity", "director"},
                       "config.family")
         _check_family(family["velocity"], "config.family.velocity")
         _check_family(family["director"], "config.family.director")
-    elif kind == "sweep":
-        if family is None:
-            raise ConfigError("config.family is required")
-        flow = options.get("flow", "hmf")
-        if flow not in ("hmf", "lc"):
-            raise ConfigError("options.flow must be 'hmf' or 'lc'")
-        if flow == "lc":
-            _require_keys(family, {"velocity", "director"}, {"velocity", "director"},
-                          "config.family")
-            _check_family(family["velocity"], "config.family.velocity")
-            _check_family(family["director"], "config.family.director")
-        else:
-            _check_family(family, "config.family")
-        if "amplitudes" not in options:
-            raise ConfigError("options.amplitudes is required for sweep")
-    elif kind == "verify":
-        family = family or {}
-        if family:
-            raise ConfigError("verify takes no family")
     else:
-        if family is None:
-            raise ConfigError("config.family is required")
         _check_family(family, "config.family")
-    return ExperimentConfig(kind, grid, ladder, family or {}, seed, solver_options,
-                            options, Path(out_dir))
+    cfg = ExperimentConfig(kind, grid, ladder, family or {}, seed, solver_options,
+                           options, Path(out_dir))
+    cfg.solver()  # check the solver values before any work
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +302,6 @@ def _run_extend(cfg: ExperimentConfig) -> int:
 
 def _run_norms(cfg: ExperimentConfig) -> int:
     count = int(cfg.options.get("count", 20))
-    if count < 1:
-        raise ConfigError("options.count must be >= 1")
     big_r = cfg.grid.period / 4.0
     rows = []
     ratios = []

@@ -23,7 +23,7 @@ which divides by |u|^3 and |u|^5, are only approximately de-aliased.
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +35,6 @@ __all__ = [
     "spectral_laplacian",
     "spectral_gradient",
     "spectral_divergence",
-    "tensor_divergence",
-    "multiply",
-    "tensor_product",
-    "gradient_gram",
-    "advect",
-    "pointwise_norm",
     "NonFiniteValues",
     "slicewise",
     "dealiased_apply",
@@ -70,8 +64,8 @@ class GridSpec:
         m = self.points_per_axis
         if m < 8 or (m & (m - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {m}")
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (0 < self.period < np.inf):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:
@@ -462,53 +456,6 @@ def spectral_divergence(f: Field) -> Field:
     return Field.from_cube(f.grid, divergence_cube(f.cube(), f.grid))
 
 
-def tensor_divergence(f: Field) -> Field:
-    return Field.from_cube(f.grid, tensor_divergence_cube(f.cube(), f.grid))
-
-
-def multiply(a: Field, b: Field) -> Field:
-    """Pointwise product; a scalar field broadcasts over vector components."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    if a.components == b.components:
-        return Field(a.grid, a.values * b.values)
-    if a.components == 1:
-        return Field(a.grid, a.values * b.values)
-    if b.components == 1:
-        return Field(a.grid, a.values * b.values[:, :1])
-    raise ValueError("component counts must match or one field must be scalar")
-
-
-def tensor_product(a: Field, b: Field) -> Field:
-    """Outer product field: component i*q + j is a_i * b_j."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    out = a.values[:, :, None] * b.values[:, None, :]
-    return Field(a.grid, out.reshape(a.grid.sites, a.components * b.components))
-
-
-def gradient_gram(f: Field) -> Field:
-    """Matrix field with entry (i, j) = sum_a d_i f_a * d_j f_a."""
-    g = gradient_cube(f.cube(), f.grid)  # spatial + (n, l)
-    gram = np.einsum("...il,...jl->...ij", g, g)
-    n = f.grid.dim
-    return Field.from_cube(f.grid, gram.reshape(f.grid.shape + (n * n,)))
-
-
-def advect(u: Field, f: Field) -> Field:
-    """Transport term (u . grad f)_a = sum_i u_i d_i f_a."""
-    if u.components != u.grid.dim:
-        raise ValueError("advecting velocity needs n components")
-    g = gradient_cube(f.cube(), f.grid)
-    out = np.einsum("...i,...il->...l", u.cube(), g)
-    return Field.from_cube(f.grid, out)
-
-
-def pointwise_norm(f: Field) -> Field:
-    """Scalar field of pointwise Euclidean magnitudes."""
-    return Field(f.grid, np.sqrt((f.values**2).sum(axis=1))[:, None])
-
-
 def cyclic_shift(f: Field, shifts) -> Field:
     """Translate by whole grid cells (periodic roll); exact, no interpolation."""
     cube = np.roll(f.cube(), shifts, axis=tuple(range(f.grid.dim)))
@@ -537,10 +484,13 @@ def read_snapshot(path) -> Field:
         if comps < 1:
             raise ValueError(f"snapshot needs at least one component, header says {comps}")
         grid = GridSpec(dim, m, period)
-        raw = fh.read(grid.sites * comps * 8)
-        if len(raw) != grid.sites * comps * 8:
+        size = grid.sites * comps * 8
+        # compare before reading: a huge header count must not reach fh.read
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
             raise ValueError("snapshot payload truncated")
-        if fh.read(1):
+        if size < left:
             raise ValueError("snapshot has bytes after its payload")
+        raw = fh.read(size)
         values = np.frombuffer(raw, dtype="<f8").reshape(grid.sites, comps)
     return Field(grid, values)

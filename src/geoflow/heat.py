@@ -26,11 +26,9 @@ from .grid import (
     Field,
     GridSpec,
     SpaceTimeField,
-    advect,
-    gradient_gram,
+    gradient_cube,
     laplacian_cube,
     slicewise,
-    tensor_divergence,
     tensor_divergence_cube,
 )
 
@@ -38,6 +36,7 @@ __all__ = [
     "TimeLadder",
     "heat_semigroup",
     "caloric_extension",
+    "integrator_weights",
     "duhamel_heat",
     "leray_project",
     "duhamel_leray_div",
@@ -55,8 +54,8 @@ class TimeLadder:
     steps: int
 
     def __post_init__(self):
-        if not (self.t_final > 0):
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not (0 < self.t_final < np.inf):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.steps < 4:
             raise ValueError(f"steps must be >= 4, got {self.steps}")
 
@@ -112,11 +111,17 @@ def caloric_extension(f: Field, ladder: TimeLadder) -> SpaceTimeField:
     return SpaceTimeField(grid, ladder.t_final, out)
 
 
-def _duhamel_recursion(f_hat, grid: GridSpec, dt: float):
-    """Run the exponential-integrator recursion on spatially transformed slices."""
+def integrator_weights(grid: GridSpec, dt: float):
+    """Per-mode decay e^{-lam dt} and weight w(lam) of one ladder cell (w(0) = dt)."""
     lam = _symbol(grid)
     decay = np.exp(-dt * lam)
     weight = np.where(lam > 0, -np.expm1(-dt * lam) / np.where(lam > 0, lam, 1.0), dt)
+    return decay, weight
+
+
+def _duhamel_recursion(f_hat, grid: GridSpec, dt: float):
+    """Run the exponential-integrator recursion on spatially transformed slices."""
+    decay, weight = integrator_weights(grid, dt)
     out = np.zeros_like(f_hat)
     for j in range(f_hat.shape[0] - 1):
         out[j + 1] = decay * out[j] + weight * f_hat[j]
@@ -183,8 +188,10 @@ def recover_pressure(u: Field, d: Field) -> Field:
     if u.components != u.grid.dim:
         raise ValueError("velocity needs n components")
     grid = u.grid
-    force = advect(u, u) + tensor_divergence(gradient_gram(d))
-    hat, _ = _spectrum(force)
+    u_cube, grad_d = u.cube(), gradient_cube(d.cube(), grid)
+    gram = np.einsum("...il,...jl->...ij", grad_d, grad_d).reshape(grid.shape + (grid.dim**2,))
+    force = np.einsum("...i,...il->...l", u_cube, gradient_cube(u_cube, grid))
+    hat = np.fft.fftn(force + tensor_divergence_cube(gram, grid), axes=tuple(range(grid.dim)))
     xi = _wavevector(grid)
     norm2 = (xi**2).sum(axis=-1)
     safe = np.where(norm2 > 0, norm2, 1.0)

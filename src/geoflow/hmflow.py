@@ -41,7 +41,7 @@ from .grid import (
     dealiased_apply,
     gradient_cube,
 )
-from .heat import TimeLadder, caloric_extension, duhamel_heat, heat_residual
+from .heat import TimeLadder, caloric_extension, duhamel_heat, heat_residual, integrator_weights
 from .manifold import SphereTarget, TubeEscape, unit_deviation
 from .norms import bmo_seminorm, solution_norm
 
@@ -78,8 +78,8 @@ class SolverConfig:
     max_iters: int = 60
 
     def __post_init__(self):
-        if not (self.picard_tol > 0):
-            raise ValueError("picard_tol must be positive")
+        if not (0 < self.picard_tol < math.inf):
+            raise ValueError("picard_tol must be positive and finite")
         if self.max_iters < 2:
             raise ValueError("max_iters must be >= 2")
 
@@ -215,9 +215,7 @@ def time_march(u0: Field, cfg: SolverConfig, renormalize: bool = False) -> Space
         raise ValueError("data grid does not match config grid")
     grid, ladder = cfg.grid, cfg.ladder
     target = SphereTarget(u0.components)
-    lam = grid.squared_wavenumbers().reshape(grid.shape + (1,))
-    decay = np.exp(-ladder.dt * lam)
-    weight = np.where(lam > 0, -np.expm1(-ladder.dt * lam) / np.where(lam > 0, lam, 1.0), ladder.dt)
+    decay, weight = integrator_weights(grid, ladder.dt)
     axes = tuple(range(grid.dim))
     values = np.empty((ladder.steps + 1, grid.sites, u0.components))
     values[0] = u0.values

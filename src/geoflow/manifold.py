@@ -31,10 +31,6 @@ from .heat import heat_residual
 __all__ = [
     "TubeEscape",
     "SphereTarget",
-    "project_field",
-    "defect_field",
-    "distance_energy_field",
-    "apply_second_fundamental_form",
     "unit_deviation",
     "subharmonicity_residual",
 ]
@@ -108,32 +104,6 @@ class SphereTarget:
         mixed = 2.0 * np.einsum("...i,...il->...l", ydot, stack)
         radial = (ydot**2).sum(axis=-1)[..., None]
         return (mixed + sq * y) / norm**3 - 3.0 * y * radial / norm**5
-
-
-def project_field(target: SphereTarget, f: Field) -> Field:
-    return Field(f.grid, target.project(f.values))
-
-
-def defect_field(target: SphereTarget, f: Field) -> Field:
-    return Field(f.grid, target.defect(f.values))
-
-
-def distance_energy_field(target: SphereTarget, f: Field) -> Field:
-    return Field(f.grid, target.distance_energy(f.values)[:, None])
-
-
-def apply_second_fundamental_form(target: SphereTarget, u: Field, grad_u: Field) -> Field:
-    """Pointwise sum_i A(u)(d_i u, d_i u) from a precomputed gradient field.
-
-    ``grad_u`` holds the stack with component i*l + a = d_i u_a, as produced
-    by ``spectral_gradient``.
-    """
-    n = u.grid.dim
-    l = u.components
-    if grad_u.components != n * l or grad_u.grid != u.grid:
-        raise ValueError("gradient field does not match u")
-    stack = grad_u.values.reshape(u.grid.sites, n, l)
-    return Field(u.grid, target.gradient_quadratic(u.values, stack))
 
 
 def unit_deviation(f: Field | SpaceTimeField) -> float:

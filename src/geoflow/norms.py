@@ -47,7 +47,6 @@ __all__ = [
     "dyadic_radii",
     "ball_offsets",
     "ball_oscillation",
-    "cylinder_mass",
     "cylinder_mean_square",
     "cylinder_gradient_square",
     "bmo_seminorm",
@@ -304,11 +303,6 @@ def _cylinder_radius_cap(grid: GridSpec, t_final: float) -> float:
     return min(grid.period / 4.0, math.sqrt(t_final))
 
 
-def cylinder_mass(f: SpaceTimeField, cyl: ParabolicCylinder) -> float:
-    """r^{-n} * integral over the cylinder of |f|."""
-    return _cylinder_value(_magnitude_density(f), f.grid, f.dt, cyl, take_sqrt=False)
-
-
 def cylinder_mean_square(f: SpaceTimeField, cyl: ParabolicCylinder) -> float:
     """(r^{-n} * integral over the cylinder of |f|^2)^{1/2}."""
     return _cylinder_value(_square_density(f), f.grid, f.dt, cyl, take_sqrt=True)
@@ -319,20 +313,26 @@ def cylinder_gradient_square(f: SpaceTimeField, cyl: ParabolicCylinder) -> float
     return _cylinder_value(_gradient_square_density(f), f.grid, f.dt, cyl, take_sqrt=True)
 
 
+def _extension_carleson(u0: Field, big_radius: float, ladder: TimeLadder, density, term):
+    """Square Carleson functional of ``density`` of the heat extension, radii <= big_radius."""
+    grid = u0.grid
+    if not (0 < big_radius <= grid.period / 4.0 * (1 + 1e-12)):
+        raise ValueError(f"radius must lie in (0, L/4], got {big_radius}")
+    ext = caloric_extension(u0, ladder)
+    r_cap = min(big_radius, math.sqrt(ladder.t_final))
+    value, cyl = _cylinder_sup(density(ext), grid, ladder.t_final, dyadic_radii(grid, r_cap), True)
+    return NormReport(value, ((term, value),), cyl)
+
+
 def carleson_bmo(u0: Field, big_radius: float, ladder: TimeLadder) -> NormReport:
     """Square Carleson functional of the heat extension's gradient.
 
     sup over cylinders of radius <= big_radius of
     (r^{-n} * int_{B_r x [0, r^2]} |grad u~|^2)^{1/2}, u~ the heat extension.
     """
-    grid = u0.grid
-    if not (0 < big_radius <= grid.period / 4.0 * (1 + 1e-12)):
-        raise ValueError(f"radius must lie in (0, L/4], got {big_radius}")
-    ext = caloric_extension(u0, ladder)
-    r_cap = min(big_radius, math.sqrt(ladder.t_final))
-    density = _gradient_square_density(ext)
-    value, cyl = _cylinder_sup(density, grid, ladder.t_final, dyadic_radii(grid, r_cap), True)
-    return NormReport(value, (("gradient_carleson", value),), cyl)
+    return _extension_carleson(
+        u0, big_radius, ladder, _gradient_square_density, "gradient_carleson"
+    )
 
 
 def bmo_inverse_norm(u0: Field, big_radius: float, ladder: TimeLadder) -> NormReport:
@@ -341,16 +341,9 @@ def bmo_inverse_norm(u0: Field, big_radius: float, ladder: TimeLadder) -> NormRe
     sup over cylinders of radius <= big_radius of
     (r^{-n} * int_{B_r x [0, r^2]} |u~|^2)^{1/2}.
     """
-    grid = u0.grid
-    if u0.components != grid.dim:
+    if u0.components != u0.grid.dim:
         raise ValueError("expected a velocity field with n components")
-    if not (0 < big_radius <= grid.period / 4.0 * (1 + 1e-12)):
-        raise ValueError(f"radius must lie in (0, L/4], got {big_radius}")
-    ext = caloric_extension(u0, ladder)
-    r_cap = min(big_radius, math.sqrt(ladder.t_final))
-    density = _square_density(ext)
-    value, cyl = _cylinder_sup(density, grid, ladder.t_final, dyadic_radii(grid, r_cap), True)
-    return NormReport(value, (("square_carleson", value),), cyl)
+    return _extension_carleson(u0, big_radius, ladder, _square_density, "square_carleson")
 
 
 def solution_norm(f: SpaceTimeField) -> NormReport:

@@ -96,22 +96,52 @@ def test_unknown_option_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "kind, overrides",
     [
-        {"grid": dict(GRID, points_per_axis=None)},
-        {"solver": {"picard_tol": "x"}},
-        {"options": {"snapshot_slices": 3}},
-        {"family": {"name": "oscillatory", "amplitude": [1]}},
+        ("solve-hmf", {"grid": dict(GRID, points_per_axis=None)}),
+        ("solve-hmf", {"solver": {"picard_tol": "x"}}),
+        ("solve-hmf", {"options": {"snapshot_slices": 3}}),
+        ("solve-hmf", {"family": {"name": "oscillatory", "amplitude": [1]}}),
+        ("solve-hmf", {"grid": dict(GRID, points_per_axis=16.9)}),
+        ("solve-hmf", {"grid": dict(GRID, dim=True)}),
+        ("solve-hmf", {"family": {"name": "hedgehog", "amplitude": 0.3, "kmax": 2.5}}),
+        ("solve-hmf", {"family": {"name": "modes", "components": "3"}}),
+        ("solve-hmf", {"ladder": dict(LADDER, steps="1e400")}),
+        ("solve-hmf", {"grid": dict(GRID, period="Infinity")}),
+        ("solve-hmf", {"ladder": dict(LADDER, t_final="Infinity")}),
+        ("solve-hmf", {"solver": {"picard_tol": "Infinity"}}),
+        ("solve-hmf", {"solver": {"picard_tol": True}}),
+        ("solve-hmf", {"solver": {"max_iters": 2.5}}),
+        ("solve-hmf", {"seed": 3.5}),
+        ("solve-hmf", {"options": {"snapshot_slices": [1.9]}}),
+        ("norms", {"options": {"count": 2.5}}),
+        ("norms", {"options": {"count": 0}}),
+        ("sweep", {"options": {"amplitudes": [0.1, "x"]}}),
     ],
-    ids=["null-points", "string-tol", "scalar-slices", "list-amplitude"],
+    ids=[
+        "null-points", "string-tol", "scalar-slices", "list-amplitude",
+        "fractional-points", "bool-dim", "fractional-kmax", "string-components",
+        "overflowing-steps", "infinite-period", "infinite-t-final", "infinite-tol",
+        "bool-tol", "fractional-max-iters", "fractional-seed", "fractional-slice",
+        "fractional-count", "zero-count", "string-amplitude",
+    ],
 )
-def test_wrongly_typed_values_exit_one_with_a_diagnostic(tmp_path, capsys, overrides):
-    doc = base_config(kind="solve-hmf", family={"name": "oscillatory", "amplitude": 0.3})
+def test_wrongly_typed_values_exit_one_with_a_diagnostic(tmp_path, capsys, kind, overrides):
+    """Each document exits 1 with one diagnostic line, before the output directory is made.
+
+    The quoted "1e400" and "Infinity" are written as bare JSON numbers, which
+    the parser reads as infinity.
+    """
+    doc = base_config(kind=kind, family={"name": "oscillatory", "amplitude": 0.3})
     doc.update(overrides)
-    cfg = write_config(tmp_path, doc)
-    assert main(["solve-hmf", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    text = json.dumps(doc).replace('"1e400"', "1e400").replace('"Infinity"', "Infinity")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="ascii")
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_snapshot_slice_outside_the_ladder_rejected_before_any_work(tmp_path):

@@ -45,6 +45,8 @@ def test_ladder_properties():
     with pytest.raises(ValueError):
         TimeLadder(0.0, 10)
     with pytest.raises(ValueError):
+        TimeLadder(math.inf, 10)
+    with pytest.raises(ValueError):
         TimeLadder(0.5, 3)
 
 
@@ -344,13 +346,16 @@ def test_pressure_for_cellular_flow(grid2d):
 
 def test_pressure_defining_equation_residual(grid2d):
     """Lap P + div(u . grad u + div(grad d gram)) = 0 spectrally."""
-    from geoflow import advect, gradient_gram, tensor_divergence
-
     u = stream_velocity(grid2d, 0.8, seed=17, kmax=1)
     d = mode_field(grid2d, 3, seed=18, kmax=1, amplitude=0.3)
     d = Field(grid2d, d.values + np.array([0.0, 0.0, 1.0]))
     p = recover_pressure(u, d)
-    force = advect(u, u) + tensor_divergence(gradient_gram(d))
+    # gradient stacks [site, i, a] = d_i f_a
+    grad_u = spectral_gradient(u).values.reshape(grid2d.sites, 2, 2)
+    grad_d = spectral_gradient(d).values.reshape(grid2d.sites, 2, 3)
+    gram = np.einsum("sil,sjl->sij", grad_d, grad_d)
+    stress = [spectral_divergence(Field(grid2d, gram[:, i])).values[:, 0] for i in range(2)]
+    force = Field(grid2d, np.einsum("si,sia->sa", u.values, grad_u) + np.stack(stress, axis=1))
     resid = spectral_laplacian(p).values + spectral_divergence(force).values
     assert np.abs(resid).max() <= 1e-10 * max(np.abs(force.values).max(), 1.0)
     assert abs(p.mean()[0]) <= 1e-13

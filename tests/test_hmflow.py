@@ -128,6 +128,8 @@ def test_solver_config_validation(grid2d, ladder):
     with pytest.raises(ValueError):
         SolverConfig(grid2d, ladder, picard_tol=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(grid2d, ladder, picard_tol=float("inf"))
+    with pytest.raises(ValueError):
         SolverConfig(grid2d, ladder, max_iters=1)
 
 

@@ -17,10 +17,6 @@ from geoflow import (
     SphereTarget,
     TimeLadder,
     TubeEscape,
-    apply_second_fundamental_form,
-    defect_field,
-    distance_energy_field,
-    project_field,
     spectral_gradient,
     subharmonicity_residual,
     unit_deviation,
@@ -180,21 +176,19 @@ def test_gradient_quadratic_sums_the_bilinear_kernel():
 
 
 # ---------------------------------------------------------------------------
-# Field-level wrappers.
+# Kernels on sampled fields and spectral gradient stacks.
 # ---------------------------------------------------------------------------
+
+
+def gradient_stack(u):
+    """Spectral gradient of u as a (sites, n, l) stack: entry [s, i, a] = d_i u_a."""
+    return spectral_gradient(u).values.reshape(u.grid.sites, u.grid.dim, u.components)
 
 
 def test_apply_curvature_constant_field_vanishes(grid2d):
     u = Field.constant(grid2d, (0.0, 0.0, 1.0))
-    out = apply_second_fundamental_form(SphereTarget(3), u, spectral_gradient(u))
-    assert out.sup_norm() <= 1e-13
-
-
-def test_apply_curvature_rejects_mismatched_gradient(grid2d):
-    u = Field.constant(grid2d, (0.0, 0.0, 1.0))
-    bad = Field.constant(grid2d, tuple(np.zeros(5)))
-    with pytest.raises(ValueError):
-        apply_second_fundamental_form(SphereTarget(3), u, bad)
+    out = SphereTarget(3).gradient_quadratic(u.values, gradient_stack(u))
+    assert Field(grid2d, out).sup_norm() <= 1e-13
 
 
 def test_circle_map_curvature_reduction(grid1d):
@@ -207,22 +201,22 @@ def test_circle_map_curvature_reduction(grid1d):
     stack = np.stack([-dtheta * np.sin(theta), dtheta * np.cos(theta)], axis=1)[:, None, :]
     out = SphereTarget(2).gradient_quadratic(u.values, stack)
     assert np.abs(out - dtheta[:, None] ** 2 * u.values).max() <= 1e-12
-    # same through the spectral gradient wrapper, up to spectral accuracy
-    out2 = apply_second_fundamental_form(SphereTarget(2), u, spectral_gradient(u))
-    assert np.abs(out2.values - dtheta[:, None] ** 2 * u.values).max() <= 1e-10
+    # same from the spectral gradient stack, up to spectral accuracy
+    out2 = SphereTarget(2).gradient_quadratic(u.values, gradient_stack(u))
+    assert np.abs(out2 - dtheta[:, None] ** 2 * u.values).max() <= 1e-10
 
 
 def test_field_wrappers_and_unit_deviation(grid2d):
     tgt = SphereTarget(3)
     raw = Field.constant(grid2d, (0.0, 0.0, 1.25))
-    proj = project_field(tgt, raw)
+    proj = Field(grid2d, tgt.project(raw.values))
     assert np.abs(proj.values - np.array([0.0, 0.0, 1.0])).max() <= 1e-15
     assert unit_deviation(raw) == pytest.approx(0.25, abs=1e-15)
     assert unit_deviation(proj) <= 1e-15
-    assert defect_field(tgt, raw).sup_norm() == pytest.approx(0.25, abs=1e-15)
-    rho = distance_energy_field(tgt, raw)
-    assert rho.components == 1
-    assert rho.sup_norm() == pytest.approx(0.03125, abs=1e-15)
+    assert Field(grid2d, tgt.defect(raw.values)).sup_norm() == pytest.approx(0.25, abs=1e-15)
+    rho = tgt.distance_energy(raw.values)
+    assert rho.shape == (grid2d.sites,)
+    assert np.abs(rho).max() == pytest.approx(0.03125, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

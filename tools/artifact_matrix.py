@@ -1,4 +1,4 @@
-"""Run a fixed matrix of geoflow CLI experiments against one source tree.
+"""Run a fixed matrix of geoflow CLI experiments and the demos against one source tree.
 
 Usage (from the repository root):
 
@@ -7,7 +7,8 @@ Usage (from the repository root):
 TREE is a checkout of this repository (its ``src/`` is what runs); OUT is
 an empty or missing directory.  Each run gets ``OUT/<run>/`` holding the
 artifacts the CLI wrote plus ``exit_code.txt``, ``stdout.txt`` and
-``stderr.txt``; the configs go to ``OUT/configs/``.  The configs come from
+``stderr.txt``; the configs go to ``OUT/configs/``.  Each of TREE's
+``demos/*.py`` gets ``OUT/demo-<name>/`` with the same three files.  The configs come from
 this checkout's ``perfbench/workloads.py``, so two trees run the same
 documents.  A refactor that claims unchanged arithmetic shows it with
 
@@ -16,7 +17,8 @@ documents.  A refactor that claims unchanged arithmetic shows it with
 which must print nothing.  The runs cover the four benchmark workloads at
 seeds 0 and 1, LC solves in 2-D (three snapshots) and 3-D, an LC sweep
 whose top amplitude leaves the tube, an HMF solve cut off at three
-iterations (exit code 2), ``norms`` and ``verify``.
+iterations (exit code 2), ``norms`` and ``verify``; the five demos
+follow them.
 """
 
 from __future__ import annotations
@@ -73,6 +75,17 @@ def matrix():
     return runs
 
 
+def _record(run_dir, out, cmd, env):
+    """Run one command from OUT and keep its printed output and exit code in run_dir."""
+    run_dir.mkdir(exist_ok=True)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=out)
+    # absolute paths differ between the two trees' outputs; name them relatively
+    for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+        (run_dir / f"{stream}.txt").write_text(text.replace(str(out), "OUT"), encoding="utf-8")
+    (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="ascii")
+    print(f"{run_dir.name}: exit {proc.returncode}")
+
+
 def main(argv):
     if len(argv) != 3:
         print("usage: python3 tools/artifact_matrix.py TREE OUT", file=sys.stderr)
@@ -89,19 +102,14 @@ def main(argv):
         return 1
     (out / "configs").mkdir(parents=True, exist_ok=True)
     for name, kind, doc in matrix():
-        run_dir = out / name
-        run_dir.mkdir(exist_ok=True)
-        cmd = [sys.executable, "-m", "geoflow.cli", kind, "--out", str(run_dir / "artifacts")]
+        cmd = [sys.executable, "-m", "geoflow.cli", kind, "--out", str(out / name / "artifacts")]
         if doc is not None:
             cfg = out / "configs" / f"{name}.json"
             cfg.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
             cmd += ["--config", str(cfg)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=out)
-        # absolute paths differ between the two trees' outputs; name them relatively
-        for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-            (run_dir / f"{stream}.txt").write_text(text.replace(str(out), "OUT"), encoding="utf-8")
-        (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n", encoding="ascii")
-        print(f"{name}: exit {proc.returncode}")
+        _record(out / name, out, cmd, env)
+    for demo in sorted((tree / "demos").glob("*.py")):
+        _record(out / f"demo-{demo.stem}", out, [sys.executable, str(demo)], env)
     return 0
 
 
