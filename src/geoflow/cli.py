@@ -1,16 +1,18 @@
 """Reproducible experiment runner.
 
-Subcommands: ``extend``, ``norms``, ``solve-hmf``, ``solve-lc``, ``sweep``,
-``verify``.  Each takes ``--config <path>`` (a single JSON document),
-``--out <dir>``, and ``--seed <u64>`` (overrides the config seed).
+Subcommands: ``extend``, ``norms``, ``solve-hmf``, ``solve-lc`` and
+``sweep`` take ``--config <path>`` (a single JSON document), ``--out <dir>``
+and ``--seed <u64>`` (overrides the config seed); ``verify`` runs a fixed
+battery and takes only ``--out``.
 
-Configs are fail-closed: unknown keys anywhere in the document are
-rejected.  All artifacts (JSON, CSV, snapshots) are pure functions of the
-config; floats are printed with shortest round-trip ``repr``, so running
-the same config twice produces byte-identical files.
+Configs are fail-closed: a key a kind does not use is rejected anywhere
+in the document; only the solving kinds take ``solver``.  All artifacts
+(JSON, CSV, snapshots) are pure functions of the config; floats are
+printed with shortest round-trip ``repr``, so running the same config
+twice produces byte-identical files.
 
 Exit codes: 0 success, 2 when a solver reports NoConvergence (diagnostics
-are still written), 1 on any other error.
+are still written), 1 on any other error, usage errors included.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +46,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CONVERGENCE = 2
 
-KINDS = ("extend", "norms", "solve-hmf", "solve-lc", "sweep", "verify")
-
-SWEEP_COLUMNS = (
-    "family",
-    "amplitude",
-    "data_oscillation",
-    "converged",
-    "iterations",
-    "contraction",
-    "solution_size",
-    "amplification",
-)
+SWEEP_COLUMNS = ("family", *(f.name for f in fields(hmflow.SweepRecord)))
 NORMS_COLUMNS = ("family", "index", "seed", "bmo", "carleson", "equivalence_ratio")
 VERIFY_COLUMNS = ("check", "observed", "bound", "passed")
 
@@ -123,69 +114,49 @@ def _require_keys(mapping, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-_FAMILY_KEYS = {
-    "oscillatory": {"amplitude", "wavenumber", "ambient_dim"},
-    "angle": {"amplitude", "kmax", "ambient_dim"},
-    "hedgehog": {"amplitude", "kmax"},
-    "stream": {"amplitude", "kmax"},
-    "taylor-green": {"amplitude"},
-    "modes": {"amplitude", "kmax", "components"},
+# family name -> (its function in geoflow.families, the integer keys it
+# takes, whether it takes the seed).  Every family also takes ``amplitude``
+# (default 1); a key the config leaves out takes the function's default.
+_FAMILIES = {
+    "oscillatory": ("oscillatory_angle", ("wavenumber", "ambient_dim"), False),
+    "angle": ("random_angle", ("kmax", "ambient_dim"), True),
+    "hedgehog": ("hedgehog_data", ("kmax",), True),
+    "stream": ("stream_velocity", ("kmax",), True),
+    "taylor-green": ("taylor_green", (), False),
+    "modes": ("mode_field", ("components", "kmax"), True),
 }
 
 
 def _check_family(spec, where):
-    _require_keys(spec, {"name"} | set().union(*_FAMILY_KEYS.values()), {"name"}, where)
-    name = spec["name"]
-    if name not in _FAMILY_KEYS:
-        raise ConfigError(f"{where}: unknown family {name!r}")
-    extra = set(spec) - {"name"} - _FAMILY_KEYS[name]
-    if extra:
-        raise ConfigError(f"{where}: keys {sorted(extra)} not accepted by family {name!r}")
-    # every family key but the amplitude is an integer
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str) or (
+        spec["name"] not in _FAMILIES
+    ):
+        raise ConfigError(f"{where}: expected an object naming one of {sorted(_FAMILIES)}")
+    _require_keys(spec, {"name", "amplitude", *_FAMILIES[spec["name"]][1]}, {"name"}, where)
     for key in sorted(set(spec) - {"name"}):
         (_real if key == "amplitude" else _integer)(spec[key], f"{where}.{key}")
 
 
 def generate_data(family: dict, grid: GridSpec, seed: int) -> Field:
     """Build one data field from a validated family spec and a seed."""
-    name = family["name"]
-    amp = float(family.get("amplitude", 1.0))
-    if name == "oscillatory":
-        return families.oscillatory_angle(
-            grid, amp, int(family.get("wavenumber", 1)), int(family.get("ambient_dim", 2))
-        )
-    if name == "angle":
-        return families.random_angle(
-            grid, amp, seed, int(family.get("kmax", 3)), int(family.get("ambient_dim", 3))
-        )
-    if name == "hedgehog":
-        return families.hedgehog_data(grid, amp, seed, int(family.get("kmax", 2)))
-    if name == "stream":
-        return families.stream_velocity(grid, amp, seed, int(family.get("kmax", 3)))
-    if name == "taylor-green":
-        return families.taylor_green(grid, amp)
-    if name == "modes":
-        return families.mode_field(
-            grid, int(family.get("components", 1)), seed, int(family.get("kmax", 3)), amp
-        )
-    raise ConfigError(f"unknown family {name!r}")
-
-
-_OPTION_KEYS = {
-    "extend": {"snapshot_slices"},
-    "norms": {"count"},
-    "solve-hmf": {"snapshot_slices"},
-    "solve-lc": {"snapshot_slices"},
-    "sweep": {"flow", "amplitudes"},
-    "verify": set(),
-}
+    function, integers, seeded = _FAMILIES[family["name"]]
+    kwargs = {key: int(family[key]) for key in integers if key in family}
+    if seeded:
+        kwargs["seed"] = seed
+    # looked up at call time, so a rebound module attribute is the one called
+    return getattr(families, function)(grid, amplitude=float(family.get("amplitude", 1.0)),
+                                       **kwargs)
 
 
 def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> ExperimentConfig:
+    if kind not in _KINDS:
+        raise ConfigError(f"{kind!r} takes no config")
+    _runner, option_keys, solving = _KINDS[kind]
     _require_keys(
         doc,
-        {"kind", "grid", "ladder", "family", "seed", "solver", "options"},
-        {"grid", "ladder", "seed"},
+        {"kind", "grid", "ladder", "family", "seed", "options"}
+        | ({"solver"} if solving else set()),
+        {"grid", "ladder", "seed", "family"},
         "config",
     )
     if "kind" in doc and doc["kind"] != kind:
@@ -208,7 +179,7 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
     _real(solver_options.get("picard_tol", 1.0), "config.solver.picard_tol")
     if "max_iters" in solver_options:
         solver_options["max_iters"] = _integer(solver_options["max_iters"], "config.solver.max_iters")
-    _require_keys(doc.get("options", {}), _OPTION_KEYS[kind], set(), "config.options")
+    _require_keys(doc.get("options", {}), option_keys, set(), "config.options")
     options = dict(doc.get("options", {}))
     if _integer(options.get("count", 20), "config.options.count") < 1:
         raise ConfigError("options.count must be >= 1")
@@ -216,7 +187,7 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
         if not (0 <= _integer(j, "config.options.snapshot_slices") <= ladder.steps):
             raise ConfigError(f"snapshot slice {j} outside the ladder")
 
-    family = doc.get("family")
+    family = doc["family"]
     flow = options.get("flow", "hmf")
     if kind == "sweep":
         if flow not in ("hmf", "lc"):
@@ -225,20 +196,15 @@ def parse_config(doc: dict, kind: str, out_dir, seed_override=None) -> Experimen
             raise ConfigError("options.amplitudes is required for sweep")
         for amp in options["amplitudes"]:
             _real(amp, "config.options.amplitudes")
-    if kind == "verify":
-        if family:
-            raise ConfigError("verify takes no family")
-    elif family is None:
-        raise ConfigError("config.family is required")
-    elif kind == "solve-lc" or (kind == "sweep" and flow == "lc"):
+    if kind == "solve-lc" or (kind == "sweep" and flow == "lc"):
         _require_keys(family, {"velocity", "director"}, {"velocity", "director"},
                       "config.family")
         _check_family(family["velocity"], "config.family.velocity")
         _check_family(family["director"], "config.family.director")
     else:
         _check_family(family, "config.family")
-    cfg = ExperimentConfig(kind, grid, ladder, family or {}, seed, solver_options,
-                           options, Path(out_dir))
+    cfg = ExperimentConfig(kind, grid, ladder, family, seed, solver_options, options,
+                           Path(out_dir))
     cfg.solver()  # check the solver values before any work
     return cfg
 
@@ -272,9 +238,7 @@ def _write_json(path: Path, obj):
 def _family_label(family: dict) -> str:
     if "name" in family:
         return family["name"]
-    if "velocity" in family:
-        return f"{family['velocity']['name']}+{family['director']['name']}"
-    return "none"
+    return f"{family['velocity']['name']}+{family['director']['name']}"
 
 
 # ---------------------------------------------------------------------------
@@ -490,57 +454,55 @@ def _verify_checks():
     return checks
 
 
-def _run_verify(cfg: ExperimentConfig) -> int:
+def _run_verify(out_dir: Path) -> int:
     checks = _verify_checks()
-    _write_csv(cfg.out_dir / "verify.csv", VERIFY_COLUMNS, checks)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "verify.csv", VERIFY_COLUMNS, checks)
     passed = all(c["passed"] for c in checks)
-    _write_json(cfg.out_dir / "verify.json",
-                {"passed": passed, "checks": checks})
+    _write_json(out_dir / "verify.json", {"passed": passed, "checks": checks})
     return EXIT_OK if passed else EXIT_ERROR
 
 
-_RUNNERS = {
-    "extend": _run_extend,
-    "norms": _run_norms,
-    "solve-hmf": _run_solve_hmf,
-    "solve-lc": _run_solve_lc,
-    "sweep": _run_sweep,
-    "verify": _run_verify,
+# kind -> (runner, the option keys it takes, whether it takes ``solver``);
+# ``verify`` builds its own grids and takes no config
+_KINDS = {
+    "extend": (_run_extend, {"snapshot_slices"}, False),
+    "norms": (_run_norms, {"count"}, False),
+    "solve-hmf": (_run_solve_hmf, {"snapshot_slices"}, True),
+    "solve-lc": (_run_solve_lc, {"snapshot_slices"}, True),
+    "sweep": (_run_sweep, {"flow", "amplitudes"}, True),
 }
+KINDS = (*_KINDS, "verify")
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts into cfg.out_dir."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.kind](cfg)
+    return _KINDS[cfg.kind][0](cfg)
 
 
-_DEFAULT_VERIFY = {
-    "grid": {"dim": 2, "points_per_axis": 32, "period": 6.283185307179586},
-    "ladder": {"t_final": 0.25, "steps": 64},
-    "seed": 0,
-}
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it exits 1 with one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="geoflow", description="reproducible torus flow experiments"
-    )
+    parser = _Parser(prog="geoflow", description="reproducible torus flow experiments")
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind)
-        p.add_argument("--config", type=Path, required=(kind != "verify"),
-                       help="JSON experiment config")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-    args = parser.parse_args(argv)
+        if kind in _KINDS:
+            p.add_argument("--config", type=Path, required=True, help="JSON experiment config")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
     try:
-        if args.config is None:
-            doc = dict(_DEFAULT_VERIFY)
-        else:
-            doc = json.loads(args.config.read_text(encoding="utf-8"))
-        cfg = parse_config(doc, args.kind, args.out, args.seed)
-        return run(cfg)
+        args = parser.parse_args(argv)
+        if args.kind == "verify":
+            return _run_verify(args.out)
+        doc = json.loads(args.config.read_text(encoding="utf-8"))
+        return run(parse_config(doc, args.kind, args.out, args.seed))
     except (ConfigError, ValueError, TypeError, OSError, KeyError, TubeEscape) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

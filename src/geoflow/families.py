@@ -75,7 +75,7 @@ def scalar_modes(grid: GridSpec, rng, kmax: int = 3, decay: float = 2.0):
     return total
 
 
-def mode_field(grid: GridSpec, components: int, seed: int, kmax: int = 3,
+def mode_field(grid: GridSpec, components: int = 1, seed: int = 0, kmax: int = 3,
                amplitude: float = 1.0) -> Field:
     """Generic smooth random field: one independent mode sum per component."""
     cubes = []

@@ -29,7 +29,7 @@ the sphere raises :class:`~geoflow.manifold.TubeEscape`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -102,13 +102,7 @@ class SolveResult:
     converged: bool
 
     def to_json(self):
-        return {
-            "increments": list(self.increments),
-            "contraction_estimates": list(self.contraction_estimates),
-            "residual_sup": self.residual_sup,
-            "constraint_defect": self.constraint_defect,
-            "converged": self.converged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solution"}
 
 
 def curvature_forcing(values, grid: GridSpec, target: SphereTarget):
@@ -204,12 +198,11 @@ def _result(current, increments, ratios, converged) -> SolveResult:
     )
 
 
-def time_march(u0: Field, cfg: SolverConfig, renormalize: bool = False) -> SpaceTimeField:
+def time_march(u0: Field, cfg: SolverConfig) -> SpaceTimeField:
     """Independent per-step exponential integrator for the same flow.
 
     u_{j+1} = e^{dt Lap} u_j + w(Lap) A(u_j)(grad u_j, grad u_j), the same
-    left-endpoint weight the Duhamel operator uses.  With renormalize=True
-    every step is projected back onto the sphere (diagnostic mode only).
+    left-endpoint weight the Duhamel operator uses.
     """
     if u0.grid != cfg.grid:
         raise ValueError("data grid does not match config grid")
@@ -225,10 +218,7 @@ def time_march(u0: Field, cfg: SolverConfig, renormalize: bool = False) -> Space
         cur_hat = np.fft.fftn(cur.reshape(grid.shape + (-1,)), axes=axes)
         f_hat = np.fft.fftn(forcing.reshape(grid.shape + (-1,)), axes=axes)
         nxt = np.fft.ifftn(decay * cur_hat + weight * f_hat, axes=axes).real
-        cur = nxt.reshape(grid.sites, -1)
-        if renormalize:
-            cur = target.project(cur)
-        values[j + 1] = cur
+        values[j + 1] = cur = nxt.reshape(grid.sites, -1)
     return SpaceTimeField(grid, ladder.t_final, values)
 
 

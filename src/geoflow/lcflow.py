@@ -24,7 +24,7 @@ renormalized, so |d| = 1 is a measured outcome, not an enforced one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,15 +90,7 @@ class LCSolveResult:
     converged: bool
 
     def to_json(self):
-        return {
-            "increments": list(self.increments),
-            "contraction_estimates": list(self.contraction_estimates),
-            "residual_u_sup": self.residual_u_sup,
-            "residual_d_sup": self.residual_d_sup,
-            "constraint_defect": self.constraint_defect,
-            "divergence_sup": self.divergence_sup,
-            "converged": self.converged,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
 
 
 def _stress_forcing(u_values, d_values, grid):

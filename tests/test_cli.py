@@ -4,12 +4,14 @@ Everything drives ``main(argv)`` in process.  Configs are written to
 temporary JSON files; artifacts land in per-test output directories.
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from geoflow import (
+    families,
     Field,
     GridSpec,
     SolverConfig,
@@ -21,8 +23,8 @@ from geoflow import (
     unit_deviation,
 )
 from geoflow.cli import (
+    _FAMILIES,
     NORMS_COLUMNS,
-    SWEEP_COLUMNS,
     VERIFY_COLUMNS,
     ConfigError,
     generate_data,
@@ -155,8 +157,52 @@ def test_snapshot_slice_outside_the_ladder_rejected_before_any_work(tmp_path):
 
 
 def test_verify_takes_no_family():
-    with pytest.raises(ConfigError):
-        parse_config(base_config(family={"name": "modes"}), "verify", "out")
+    """verify builds its own grids, so no config value reaches it: every document is refused."""
+    doc = base_config(
+        grid=dict(GRID, dim=3), family=[], seed=12345, solver={"picard_tol": 0.5, "max_iters": 7}
+    )
+    for document in (doc, base_config(family={"name": "modes"})):
+        with pytest.raises(ConfigError):
+            parse_config(document, "verify", "out")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-hmf", "--out", "o"],
+        ["bogus", "--out", "o"],
+        ["verify", "--out", "o", "--seed", "3"],
+        ["verify", "--out", "o", "--config", "c.json"],
+        ["extend", "--config", "c.json", "--out", "o", "--seed", "abc"],
+    ],
+    ids=["no-config", "unknown-kind", "verify-seed", "verify-config", "string-seed"],
+)
+def test_usage_errors_exit_one_with_a_diagnostic(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["extend", "norms"])
+@pytest.mark.parametrize(
+    "solver", [{"picard_tol": 0.5}, {"max_iters": 7}, {}], ids=["picard-tol", "max-iters", "empty"]
+)
+def test_kinds_that_solve_nothing_reject_solver(tmp_path, capsys, kind, solver):
+    cfg = write_config(tmp_path, base_config(kind=kind, family={"name": "modes"}, solver=solver))
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_family_table_names_functions_that_take_its_keys():
+    for name, (function, integers, seeded) in _FAMILIES.items():
+        params = inspect.signature(getattr(families, function)).parameters
+        assert {"amplitude", *integers} <= set(params), name
+        assert ("seed" in params) == seeded, name
 
 
 def test_parse_config_round_trips():
@@ -184,6 +230,7 @@ def test_generate_data_postconditions(grid2d):
     assert unit_deviation(o) <= 1e-15
     m = generate_data({"name": "modes", "components": 4}, grid2d, seed=5)
     assert m.components == 4
+    assert generate_data({"name": "modes"}, grid2d, seed=5).components == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +351,11 @@ def test_sweep_csv(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     header, rows = read_rows(out / "sweep.csv")
-    assert tuple(header) == SWEEP_COLUMNS
+    # the header README documents
+    assert ",".join(header) == (
+        "family,amplitude,data_oscillation,converged,iterations,contraction,"
+        "solution_size,amplification"
+    )
     assert [r[1] for r in rows] == ["0.1", "0.3"]
     assert all(r[3] == "true" for r in rows)
     report = json.loads((out / "sweep.json").read_text())

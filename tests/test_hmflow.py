@@ -26,7 +26,6 @@ from geoflow import (
     duhamel_heat,
     hmflow,
     solution_norm,
-    unit_deviation,
 )
 from geoflow.families import forcing_family, oscillatory_angle
 from geoflow.grid import NonFiniteValues
@@ -219,15 +218,6 @@ def test_march_agrees_with_fixed_point(grid2d, ladder):
     res = hmflow.solve(u0, cfg)
     marched = time_march(u0, cfg)
     assert np.abs(marched.values - res.solution.values).max() <= 1e-8
-
-
-def test_march_renormalized_stays_on_sphere(grid2d, ladder):
-    u0 = oscillatory_angle(grid2d, 0.4, 1, 3)
-    marched = time_march(u0, SolverConfig(grid2d, ladder), renormalize=True)
-    worst = max(
-        unit_deviation(Field(grid2d, marched.values[j])) for j in range(ladder.steps + 1)
-    )
-    assert worst <= 1e-14
 
 
 def test_flow_residual_refines(grid2d):

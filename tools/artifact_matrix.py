@@ -17,7 +17,9 @@ documents.  A refactor that claims unchanged arithmetic shows it with
 which must print nothing.  The runs cover the four benchmark workloads at
 seeds 0 and 1, LC solves in 2-D (three snapshots) and 3-D, an LC sweep
 whose top amplitude leaves the tube, an HMF solve cut off at three
-iterations (exit code 2), ``norms`` and ``verify``; the five demos
+iterations (exit code 2), ``norms``, four 2-D ``extend`` runs that
+between them reach the ``oscillatory`` and ``taylor-green`` families and
+the defaults of ``angle`` and ``modes``, and ``verify``; the five demos
 follow them.
 """
 
@@ -71,6 +73,14 @@ def matrix():
     runs.append(("hmf-max-iters", "solve-hmf", capped))
     norms = _config(2, 16, 32, 0.25, {"name": "modes", "amplitude": 0.5}, {"count": 3})
     runs.append(("norms", "norms", norms))
+    for name, family in (
+        ("oscillatory",
+         {"name": "oscillatory", "amplitude": 0.4, "wavenumber": 2, "ambient_dim": 3}),
+        ("taylor-green", {"name": "taylor-green", "amplitude": 0.5}),
+        ("angle-defaults", {"name": "angle"}),
+        ("modes-defaults", {"name": "modes"}),
+    ):
+        runs.append((f"extend-{name}", "extend", _config(2, 16, 16, 0.25, family)))
     runs.append(("verify", "verify", None))
     return runs
 
