@@ -26,7 +26,13 @@ Conventions shared by every sup-type functional:
   the direct re-evaluation of the integrand there, so re-evaluating a
   report's maximizer reproduces its value.
 * Scans run in lexicographic (center, radius-descending) order; the first
-  maximum wins.
+  maximum wins.  The ball scan reaches the same winner without evaluating
+  every ball: an FFT bound on each center's oscillation lets it skip the
+  centers whose bound is strictly below the best exact value, and a ball
+  that attains the maximum always has a bound at least that large.  The
+  bound's variance sum carries an absolute slack of ``1e-8 * K * max|f|^2``
+  (K sites per ball), which covers the roundoff of the FFT sums and of the
+  exact evaluation (see ``_oscillation_bound``).
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ __all__ = [
     "velocity_norm",
 ]
 
-_CENTER_CHUNK = 2048
+# Largest number of field values one chunk of the ball scan gathers (8 MB).
+_GATHER_VALUES = 2**20
+# Slack added to a ball's variance sum in the oscillation bound, relative to K * max|f|^2.
+_BOUND_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,10 +157,27 @@ def _offset_mask(grid: GridSpec, offsets):
     return mask
 
 
+def _ball_sums(cubes, grid: GridSpec, offsets):
+    """Sum of each cube over the periodic ball of the given offsets around every site.
+
+    ``cubes`` has shape (..., *grid.shape); one circular FFT convolution
+    with the ball mask serves every leading index.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    kernel = np.fft.fftn(_offset_mask(grid, offsets))
+    return np.fft.ifftn(np.fft.fftn(cubes, axes=axes) * kernel, axes=axes).real
+
+
 def _gather_indices(grid: GridSpec, centers_multi, offsets):
+    """Flat site index of every (center, offset) pair, row-major."""
     m = grid.points_per_axis
-    idx = (centers_multi[:, None, :] + offsets[None, :, :]) % m
-    return np.ravel_multi_index(tuple(idx[..., i] for i in range(grid.dim)), grid.shape)
+    flat = np.zeros((len(centers_multi), len(offsets)), dtype=np.intp)
+    for i in range(grid.dim):
+        axis = np.add.outer(centers_multi[:, i], offsets[:, i])
+        axis %= m
+        flat *= m
+        flat += axis
+    return flat
 
 
 def _all_centers(grid: GridSpec):
@@ -161,16 +187,85 @@ def _all_centers(grid: GridSpec):
 
 
 def _ball_oscillation_values(values, grid: GridSpec, offsets, radius, centers_multi):
-    """Radius-power-normalized L1 mean oscillation for the given centers."""
+    """Radius-power-normalized L1 mean oscillation for the given centers.
+
+    Centers are taken in chunks of at most ``_GATHER_VALUES`` gathered
+    values; a center's value does not depend on the chunk it falls in.
+    """
     out = np.empty(len(centers_multi))
     weight = grid.cell_volume / radius**grid.dim
-    for start in range(0, len(centers_multi), _CENTER_CHUNK):
-        block = centers_multi[start : start + _CENTER_CHUNK]
+    chunk = max(1, _GATHER_VALUES // (len(offsets) * values.shape[1]))
+    for start in range(0, len(centers_multi), chunk):
+        block = centers_multi[start : start + chunk]
         members = values[_gather_indices(grid, block, offsets)]  # (c, K, l)
         mean = members.mean(axis=1, keepdims=True)
-        osc = np.sqrt(((members - mean) ** 2).sum(axis=2))
-        out[start : start + _CENTER_CHUNK] = osc.sum(axis=1) * weight
+        members -= mean
+        np.square(members, out=members)
+        osc = np.sqrt(members.sum(axis=2))
+        out[start : start + chunk] = osc.sum(axis=1) * weight
     return out
+
+
+def _oscillation_bound(f: Field, offsets, radius):
+    """Upper bound on the radius-power-normalized oscillation at every center (row-major).
+
+    With K = len(offsets) sites per ball, Cauchy-Schwarz gives
+    sum_B |f - mean| <= sqrt(K * V), V = sum_B |f|^2 - |sum_B f|^2 / K.
+    The ball sums come from ``_ball_sums``.  The computed V is widened by
+    the absolute slack ``_BOUND_SLACK * K * max|f|^2``, which scales with
+    the sums, not with V: where V cancels (10**6 + O(1) noise) a slack
+    relative to V would not cover the roundoff.  Relative to K * max|f|^2,
+    the FFT sums err by at most about eps * log2(N) * sqrt(N / K) (N sites)
+    and the gathered exact value by about (K + l) * eps; on grids of up to
+    2**20 sites both stay near 1e-10 or below, a hundredth of the slack.
+    Sums that overflow, or a V below minus the slack, give an infinite bound.
+    """
+    grid = f.grid
+    k = len(offsets)
+    square = (f.values**2).sum(axis=1)
+    cubes = np.concatenate([f.values.T, square[None]]).reshape((-1,) + grid.shape)
+    sums = _ball_sums(cubes, grid, offsets).reshape(len(cubes), grid.sites)
+    spread = sums[-1] - (sums[:-1] ** 2).sum(axis=0) / k
+    total = k * (spread + _BOUND_SLACK * k * square.max())
+    total = np.where(total >= 0.0, total, np.inf)
+    return np.sqrt(total) * (grid.cell_volume / radius**grid.dim)
+
+
+def _column_max(f: Field, radius, centers):
+    """(value, center index) of the first maximum over all centers at one radius.
+
+    Exact pruned search: centers are evaluated in order of decreasing
+    bound, in doubling chunks, until the next bound is strictly below the
+    best exact value; no skipped center can reach that value.  Among equal
+    values the lowest center index wins.
+    """
+    offsets = ball_offsets(f.grid, radius)
+    bound = _oscillation_bound(f, offsets, radius)
+    order = np.argsort(-bound, kind="stable")
+    best, arg = -np.inf, -1
+    start, size = 0, 16
+    while start < len(order) and bound[order[start]] >= best:
+        idx = order[start : start + size]
+        vals = _ball_oscillation_values(f.values, f.grid, offsets, radius, centers[idx])
+        top = vals.max()
+        if top >= best:
+            first = int(idx[vals == top].min())
+            arg = first if top > best else min(arg, first)
+            best = top
+        start, size = start + size, 2 * size
+    return best, arg
+
+
+def _column_maxima(f: Field, radii):
+    centers = _all_centers(f.grid)
+    return [_column_max(f, r, centers) for r in radii]
+
+
+def _first_max_ball(grid: GridSpec, radii, maxima):
+    """Ball of the first maximum in (center row-major, radius-descending) order."""
+    i = min(range(len(radii)), key=lambda j: (-maxima[j][0], maxima[j][1], -radii[j]))
+    center = np.unravel_index(maxima[i][1], grid.shape)
+    return BallSpec(tuple(int(v) for v in center), radii[i])
 
 
 def ball_oscillation(f: Field, ball: BallSpec) -> float:
@@ -188,15 +283,7 @@ def bmo_seminorm(f: Field, big_radius: float) -> NormReport:
     if not (0 < big_radius <= grid.period / 4.0 * (1 + 1e-12)):
         raise ValueError(f"radius must lie in (0, L/4], got {big_radius}")
     radii = dyadic_radii(grid, big_radius)
-    centers = _all_centers(grid)
-    columns = [
-        _ball_oscillation_values(f.values, grid, ball_offsets(grid, r), r, centers)
-        for r in radii
-    ]
-    table = np.stack(columns, axis=1)  # (centers, radii desc): row-major scan order
-    flat = int(np.argmax(table))
-    ci, ri = divmod(flat, len(radii))
-    ball = BallSpec(tuple(int(v) for v in centers[ci]), radii[ri])
+    ball = _first_max_ball(grid, radii, _column_maxima(f, radii))
     value = ball_oscillation(f, ball)
     vol = unit_ball_volume(grid.dim)
     terms = (
@@ -210,7 +297,9 @@ def vmo_profile(f: Field):
     """(r, oscillation) pairs on the dyadic ladder 2h, 4h, ... <= L/4, ascending.
 
     Radius sets are nested, so the profile is nondecreasing; decay as
-    r -> 0 diagnoses vanishing mean oscillation at the grid scale.
+    r -> 0 diagnoses vanishing mean oscillation at the grid scale.  Each
+    value equals ``bmo_seminorm(f, r).value``, whose dyadic radii are the
+    ladder up to r; the column maxima are computed once for all of them.
     """
     grid = f.grid
     ladder = []
@@ -218,7 +307,11 @@ def vmo_profile(f: Field):
     while r <= grid.period / 4.0 * (1 + 1e-12):
         ladder.append(r)
         r *= 2.0
-    return [(r, bmo_seminorm(f, r).value) for r in ladder]
+    maxima = _column_maxima(f, ladder)
+    return [
+        (r, ball_oscillation(f, _first_max_ball(grid, ladder[: j + 1], maxima[: j + 1])))
+        for j, r in enumerate(ladder)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +359,7 @@ def _cylinder_sup(density, grid: GridSpec, t_final: float, radii, take_sqrt):
     for r in radii:
         k = _time_index(r, dt, steps)
         profile = _time_integrated(density, k, dt).reshape(grid.shape)
-        mask = _offset_mask(grid, ball_offsets(grid, r))
-        sums = np.fft.ifftn(np.fft.fftn(profile) * np.fft.fftn(mask)).real
+        sums = _ball_sums(profile, grid, ball_offsets(grid, r))
         ci = int(np.argmax(sums))  # first max in row-major = lexicographic
         center = tuple(int(v) for v in np.unravel_index(ci, grid.shape))
         cyl = ParabolicCylinder(center, r, k)

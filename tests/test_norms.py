@@ -2,18 +2,26 @@
 
 The dyadic scan in the library is checked against a brute-force oracle that
 visits every center and every radius that is a whole multiple of the grid
-spacing, written independently below.
+spacing, written independently below.  The pruned scan is also checked
+against ``exhaustive_bmo``, which evaluates the whole (center, radius)
+table and must report exactly the same ball and value.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geoflow import (
     BallSpec,
     Field,
+    GridSpec,
+    NormReport,
     SpaceTimeField,
     TimeLadder,
     ball_oscillation,
@@ -28,8 +36,11 @@ from geoflow import (
     velocity_norm,
     vmo_profile,
 )
-from geoflow.families import mode_field, stream_velocity
+from geoflow import norms
+from geoflow.families import hedgehog_data, mode_field, stream_velocity
 from geoflow.norms import _time_index, ball_offsets, dyadic_radii, unit_ball_volume
+
+TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +83,24 @@ def brute_bmo(f, radii):
             if val > best:
                 best, arg = val, (center, r)
     return best, arg
+
+
+def exhaustive_bmo(f, big_radius):
+    """Reference scan: the whole (center, radius-descending) table, first maximum wins."""
+    grid = f.grid
+    radii = dyadic_radii(grid, big_radius)
+    centers = norms._all_centers(grid)
+    columns = [
+        norms._ball_oscillation_values(f.values, grid, ball_offsets(grid, r), r, centers)
+        for r in radii
+    ]
+    table = np.stack(columns, axis=1)  # (centers, radii desc): row-major scan order
+    ci, ri = divmod(int(np.argmax(table)), len(radii))
+    ball = BallSpec(tuple(int(v) for v in centers[ci]), radii[ri])
+    value = ball_oscillation(f, ball)
+    vol = unit_ball_volume(grid.dim)
+    terms = (("radius_power_normalized", value), ("ball_volume_normalized", value / vol))
+    return NormReport(value, terms, ball)
 
 
 def all_step_radii(grid):
@@ -173,6 +202,146 @@ def test_vmo_profile_detects_gradient_scale(grid1d):
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     for r, v in prof[:3]:
         assert 0.5 * r <= v <= 2.0 * r
+
+
+def _x0_only(grid):
+    x0 = grid.coordinates()[0]
+    return Field.from_cube(grid, np.stack([np.sin(x0), np.cos(2.0 * x0)], axis=-1))
+
+
+def _checkerboard(grid):
+    parity = sum(np.indices(grid.shape)) % 2
+    return Field.from_cube(grid, (1.0 - 2.0 * parity)[..., None])
+
+
+def _three_phase(grid):
+    """Unit vectors at 0, 120 and 240 degrees repeating along x_0: a ball of
+    3j consecutive sites away from the seam at x_0 = 0 has mean zero, where
+    Cauchy-Schwarz is tight."""
+    phase = 2.0 * np.pi / 3.0 * np.indices(grid.shape)[0]
+    return Field.from_cube(grid, np.stack([np.cos(phase), np.sin(phase)], axis=-1))
+
+
+def _noise(grid):
+    return Field(grid, np.random.default_rng(40).standard_normal((grid.sites, 3)))
+
+
+SCAN_CASES = {
+    "modes-1d": lambda: mode_field(GridSpec(1, 64, TWO_PI), 2, seed=41),
+    "modes-2d": lambda: mode_field(GridSpec(2, 32, TWO_PI), 3, seed=42),
+    "modes-3d": lambda: mode_field(GridSpec(3, 8, TWO_PI), 2, seed=43),
+    "hedgehog-3d": lambda: hedgehog_data(GridSpec(3, 16, TWO_PI), 0.3, seed=44),
+    "noise-2d": lambda: _noise(GridSpec(2, 16, TWO_PI)),
+    "noise-3d": lambda: _noise(GridSpec(3, 8, TWO_PI)),
+    "constant": lambda: Field.constant(GridSpec(2, 16, TWO_PI), (4.0, -1.0)),
+    "x0-only-2d": lambda: _x0_only(GridSpec(2, 16, TWO_PI)),
+    "x0-only-3d": lambda: _x0_only(GridSpec(3, 8, TWO_PI)),
+    "checkerboard-2d": lambda: _checkerboard(GridSpec(2, 16, TWO_PI)),
+    "checkerboard-3d": lambda: _checkerboard(GridSpec(3, 8, TWO_PI)),
+    "three-phase-1d": lambda: _three_phase(GridSpec(1, 64, TWO_PI)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_pruned_scan_equals_exhaustive_table(case):
+    """The pruned scan reports exactly what the whole table reports, ties
+    included, at every radius of the profile."""
+    f = SCAN_CASES[case]()
+    big_r = f.grid.period / 4.0
+    assert bmo_seminorm(f, big_r).to_json() == exhaustive_bmo(f, big_r).to_json()
+    profile = vmo_profile(f)
+    assert profile == [(r, exhaustive_bmo(f, r).value) for r, _ in profile]
+    centers = norms._all_centers(f.grid)
+    for r, _ in profile:
+        offsets = ball_offsets(f.grid, r)
+        column = norms._ball_oscillation_values(f.values, f.grid, offsets, r, centers)
+        first = int(np.argmax(column))
+        assert norms._column_max(f, r, centers) == (column[first], first)
+
+
+@pytest.mark.parametrize("case", ["modes-1d", "hedgehog-3d", "checkerboard-2d"])
+def test_vmo_profile_is_per_radius_bmo(case):
+    f = SCAN_CASES[case]()
+    profile = vmo_profile(f)
+    assert len(profile) >= 2
+    assert profile == [(r, bmo_seminorm(f, r).value) for r, _ in profile]
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, "offset"])
+def test_oscillation_bound_dominates_every_ball(dim, points, scale):
+    """The FFT bound is at least the exact oscillation at every center and
+    radius, including a field whose variance cancels against a 1e6 mean.
+    It also dominates the Cauchy-Schwarz value sqrt(K * V) with V summed
+    directly, so its slack covers the roundoff of the FFT ball sums."""
+    grid = GridSpec(dim, points, TWO_PI)
+    if scale == "offset":
+        noise = np.random.default_rng(45).standard_normal((grid.sites, 3))
+        f = Field(grid, 1e6 + noise)
+    else:
+        f = Field(grid, scale * mode_field(grid, 3, seed=46).values)
+    centers = norms._all_centers(grid)
+    for r in dyadic_radii(grid, grid.period / 4.0):
+        offsets = ball_offsets(grid, r)
+        bound = norms._oscillation_bound(f, offsets, r)
+        exact = norms._ball_oscillation_values(f.values, grid, offsets, r, centers)
+        assert (bound >= exact).all()
+        members = f.values[norms._gather_indices(grid, centers, offsets)]
+        spread = ((members - members.mean(axis=1, keepdims=True)) ** 2).sum(axis=(1, 2))
+        weight = grid.cell_volume / r**grid.dim
+        assert (bound >= np.sqrt(len(offsets) * spread) * weight).all()
+
+
+def test_ball_values_do_not_depend_on_chunk_size(monkeypatch):
+    grid = GridSpec(3, 8, TWO_PI)
+    f = _noise(grid)
+    r = grid.period / 4.0
+    offsets = ball_offsets(grid, r)
+    centers = norms._all_centers(grid)
+    whole = norms._ball_oscillation_values(f.values, grid, offsets, r, centers)
+    monkeypatch.setattr(norms, "_GATHER_VALUES", 5 * len(offsets) * 3)
+    order = np.random.default_rng(47).permutation(len(centers))
+    chunked = norms._ball_oscillation_values(f.values, grid, offsets, r, centers[order])
+    assert (chunked == whole[order]).all()
+
+
+# Peaks (MB) of this test on a scan that gathered 2048 centers per chunk
+# and evaluated every ball.
+_CHUNK_2048_PEAK_MB = {1: 32.3, 3: 40.3}
+
+
+@pytest.mark.parametrize("components", sorted(_CHUNK_2048_PEAK_MB))
+def test_scan_memory_is_bounded_on_noise(components):
+    """On noise nothing can be pruned; the gather cap still bounds the peak."""
+    grid = GridSpec(3, 16, TWO_PI)
+    f = Field(grid, np.random.default_rng(48).standard_normal((grid.sites, components)))
+    tracemalloc.start()
+    try:
+        bmo_seminorm(f, grid.period / 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < _CHUNK_2048_PEAK_MB[components]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    components=st.integers(1, 3),
+    integral=st.booleans(),
+    data=st.data(),
+)
+def test_pruned_scan_equals_exhaustive_property(dim, components, integral, data):
+    """Random fields, and small-integer fields whose balls tie exactly."""
+    grid = GridSpec(dim, 8, TWO_PI)
+    shape = (grid.sites, components)
+    if integral:
+        values = data.draw(arrays(np.int64, shape, elements=st.integers(-2, 2))).astype(float)
+    else:
+        values = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    f = Field(grid, values)
+    big_r = grid.period / 4.0
+    assert bmo_seminorm(f, big_r).to_json() == exhaustive_bmo(f, big_r).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ seeds 0 and 1, LC solves in 2-D (three snapshots) and 3-D, an LC sweep
 whose top amplitude leaves the tube, an HMF solve cut off at three
 iterations (exit code 2), ``norms``, four 2-D ``extend`` runs that
 between them reach the ``oscillatory`` and ``taylor-green`` families and
-the defaults of ``angle`` and ``modes``, and ``verify``; the five demos
-follow them.
+the defaults of ``angle`` and ``modes``, a 1-D ``modes`` ``extend``, a
+3-D ``oscillatory`` ``extend`` (its angle depends on x_0 alone, so many
+ball centers tie), and ``verify``; the five demos follow them.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def matrix():
         ("modes-defaults", {"name": "modes"}),
     ):
         runs.append((f"extend-{name}", "extend", _config(2, 16, 16, 0.25, family)))
+    runs.append(("extend-modes-1d", "extend",
+                 _config(1, 64, 16, 0.25, {"name": "modes", "amplitude": 0.5, "components": 2})))
+    runs.append(("extend-oscillatory-3d", "extend",
+                 _config(3, 16, 16, 0.25, {"name": "oscillatory", "amplitude": 0.4,
+                                           "wavenumber": 2, "ambient_dim": 3})))
     runs.append(("verify", "verify", None))
     return runs
 
