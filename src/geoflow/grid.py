@@ -19,11 +19,21 @@ Nonlinear terms are evaluated on a 3/2 zero-padded grid
 (`dealiased_apply`).  That de-aliases quadratic products exactly; cubic
 and rational terms such as the curvature kernel A(u)(grad u, grad u),
 which divides by |u|^3 and |u|^5, are only approximately de-aliased.
+
+Time-slice kernels run through `slicewise` in fixed blocks of 8 slices.
+The calling thread runs every other block and, on a host with two or
+more CPUs, one module-level pool thread runs the blocks in between, so
+at most 16 slices are in flight.  Every kernel computes each slice on
+its own, and the block layout depends only on the number of slices, so
+the output is bitwise the same on one thread or two.  A failing block
+raises as in a serial loop: the lowest-index failure wins, and no block
+is still running when `slicewise` returns or raises.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +55,16 @@ __all__ = [
 
 SNAPSHOT_MAGIC = "GEOFLOW1"
 
-# time slices per batched kernel call in `slicewise`; bounds the memory of
-# padded and gradient cubes
-_TIME_BLOCK = 16
+# time slices per batched kernel call in `slicewise`; with two blocks in
+# flight this bounds the memory of padded and gradient cubes to 16 slices
+_TIME_BLOCK = 8
+# threads that run `slicewise` blocks: the caller plus _WORKERS - 1 pool threads
+_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -321,12 +338,15 @@ def gradient_cube(arr, grid: GridSpec):
     hat = np.fft.fftn(arr, axes=axes)
     # from the actual axis lengths, so padded cubes work too
     ks = [_wavenumbers(grid.period, arr.shape[a], odd=True) for a in axes]
-    parts = []
+    # filled axis by axis, each inverse transform in place, so one complex
+    # buffer besides ``hat`` is alive at a time
+    out = np.empty(arr.shape[:-1] + (len(axes), arr.shape[-1]))
     for i, axis in enumerate(axes):
         shape = [1] * arr.ndim
         shape[axis] = arr.shape[axis]
-        parts.append(np.fft.ifftn(hat * (1j * ks[i]).reshape(shape), axes=axes).real)
-    return np.stack(parts, axis=-2)
+        part = hat * (1j * ks[i]).reshape(shape)
+        out[..., i, :] = np.fft.ifftn(part, axes=axes, out=part).real
+    return out
 
 
 def divergence_cube(arr, grid: GridSpec):
@@ -388,8 +408,8 @@ def resample_cube(arr, grid: GridSpec, m_new: int):
     hat = np.fft.fftn(arr, axes=axes)
     for axis in axes:
         hat = _resample_axis(hat, m_new, axis)
-    scale = (m_new / grid.points_per_axis) ** grid.dim
-    return np.fft.ifftn(hat * scale, axes=axes).real
+    hat *= (m_new / grid.points_per_axis) ** grid.dim
+    return np.fft.ifftn(hat, axes=axes, out=hat).real
 
 
 def _restrict_cube(arr, grid: GridSpec, m_from: int):
@@ -397,25 +417,71 @@ def _restrict_cube(arr, grid: GridSpec, m_from: int):
     hat = np.fft.fftn(arr, axes=axes)
     for axis in axes:
         hat = _resample_axis(hat, grid.points_per_axis, axis)
-    scale = (grid.points_per_axis / m_from) ** grid.dim
-    return np.fft.ifftn(hat * scale, axes=axes).real
+    hat *= (grid.points_per_axis / m_from) ** grid.dim
+    return np.fft.ifftn(hat, axes=axes, out=hat).real
+
+
+def _mark_pool_thread():
+    _pool_thread.active = True
+
+
+def _block_pool():
+    """The module's pool of ``_WORKERS - 1`` threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=_WORKERS - 1,
+                thread_name_prefix="geoflow-slicewise",
+                initializer=_mark_pool_thread,
+            )
+    return _pool
 
 
 def slicewise(grid: GridSpec, fn, *stacks):
     """Map ``(steps+1, sites, l)`` stacks through a batched cube kernel.
 
-    ``fn`` gets blocks of 16 slices as ``(b, M, ..., M, l)`` cubes and
-    returns ``(b, M, ..., M) + tail``; the result is ``(steps+1, sites) + tail``.
+    ``fn`` gets blocks of ``_TIME_BLOCK`` (8) slices as ``(b, M, ..., M, l)``
+    cubes and returns ``(b, M, ..., M) + tail``; the result is
+    ``(steps+1, sites) + tail``.  ``fn`` must compute each slice on its own.
+
+    The blocks are cut the same way whatever the number of workers.  The
+    calling thread runs blocks 0, 2, 4, ... and, with two workers, the pool
+    thread runs blocks 1, 3, 5, ... at the same time.  If blocks fail, the
+    exception of the lowest-index failing block is raised, after every
+    submitted block has ended, as a serial loop would raise it.  A call
+    made from the pool thread (``fn`` calling ``slicewise``) runs its
+    blocks serially on that thread, so it never waits on its own pool.
     """
     steps1 = stacks[0].shape[0]
+    blocks = [slice(start, start + _TIME_BLOCK) for start in range(0, steps1, _TIME_BLOCK)]
     out = None
-    for start in range(0, steps1, _TIME_BLOCK):
-        block = slice(start, start + _TIME_BLOCK)
+
+    def run(block):
         res = fn(*[s[block].reshape((-1,) + grid.shape + s.shape[-1:]) for s in stacks])
-        res = res.reshape((res.shape[0], grid.sites) + res.shape[1 + grid.dim :])
+        return res.reshape((res.shape[0], grid.sites) + res.shape[1 + grid.dim :])
+
+    def store(block, res):
+        nonlocal out
         if out is None:
             out = np.empty((steps1,) + res.shape[1:])
         out[block] = res
+
+    workers = 1 if getattr(_pool_thread, "active", False) else min(_WORKERS, len(blocks))
+    pool = _block_pool() if workers > 1 else None
+    for first in range(0, len(blocks), workers):
+        group = blocks[first : first + workers]
+        futures = [pool.submit(run, block) for block in group[1:]]
+        try:
+            store(group[0], run(group[0]))
+        finally:
+            for future in futures:
+                future.exception()  # waits for the block, raising nothing
+        for block, future in zip(group[1:], futures):
+            store(block, future.result())
+        del futures  # drop the pool's results before the next group starts
     return out
 
 

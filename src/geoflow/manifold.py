@@ -14,7 +14,8 @@ For sphere-valued y and tangent gradients the curvature term reduces to
 |grad|^2 * y, the familiar source term of the harmonic map flow.
 
 All kernels are defined on the tube 1/4 <= |y|; points below |y| = 1/4
-raise :class:`TubeEscape`.  No smooth extension past the tube is
+raise :class:`TubeEscape`, which reports the smallest |y| on the earliest
+time slice that leaves the tube.  No smooth extension past the tube is
 attempted: an iterate leaving the tube is a detected failure of the
 small-data regime, not something to integrate through.
 """
@@ -39,13 +40,29 @@ _TUBE_FLOOR = 0.25
 
 
 class TubeEscape(RuntimeError):
-    """A point left the tube around the target sphere where the kernels apply."""
+    """A point left the tube around the target sphere where the kernels apply.
+
+    ``min_norm`` is the smallest |y| on the earliest slice that left it.
+    """
 
     def __init__(self, min_norm: float):
         super().__init__(
             f"field magnitude dropped to {min_norm:.6g}, below the tube floor {_TUBE_FLOOR}"
         )
         self.min_norm = float(min_norm)
+
+
+def _escape_norm(norm):
+    """Smallest |y| on the earliest slice that leaves the tube.
+
+    Slices run along the leading axis of a stack such as ``(steps+1, sites, 1)``
+    or ``(b, M, ..., M, 1)``, so the value does not depend on how a stack is
+    cut into time blocks.  A point or a single field ``(sites, 1)`` is one slice.
+    """
+    if norm.ndim < 3:
+        return float(norm.min())
+    lows = norm.reshape(norm.shape[0], -1).min(axis=1)
+    return float(lows[np.argmax(lows < _TUBE_FLOOR)])
 
 
 @dataclass(frozen=True)
@@ -63,9 +80,8 @@ class SphereTarget:
         if y.shape[-1] != self.ambient_dim:
             raise ValueError(f"points must have {self.ambient_dim} components")
         norm = np.sqrt((y**2).sum(axis=-1, keepdims=True))
-        low = float(norm.min()) if norm.size else 1.0
-        if low < _TUBE_FLOOR:
-            raise TubeEscape(low)
+        if norm.size and norm.min() < _TUBE_FLOOR:
+            raise TubeEscape(_escape_norm(norm))
         return y, norm
 
     def project(self, y):

@@ -17,7 +17,9 @@ documents.  A refactor that claims unchanged arithmetic shows it with
 which must print nothing.  The runs cover the four benchmark workloads at
 seeds 0 and 1, LC solves in 2-D (three snapshots) and 3-D, an LC sweep
 whose top amplitude leaves the tube, an HMF solve cut off at three
-iterations (exit code 2), ``norms``, four 2-D ``extend`` runs that
+iterations (exit code 2), an HMF solve of 2-D ``hedgehog`` data at
+amplitude 2 that leaves the tube (exit code 1; ``stderr.txt`` holds the
+smallest |u| it reports), ``norms``, four 2-D ``extend`` runs that
 between them reach the ``oscillatory`` and ``taylor-green`` families and
 the defaults of ``angle`` and ``modes``, a 1-D ``modes`` ``extend``, a
 3-D ``oscillatory`` ``extend`` (its angle depends on x_0 alone, so many
@@ -72,6 +74,8 @@ def matrix():
     capped = config_for("hmf-2d", 3)
     capped["solver"] = {"picard_tol": 1e-14, "max_iters": 3}
     runs.append(("hmf-max-iters", "solve-hmf", capped))
+    escape = _config(2, 16, 16, 0.25, {"name": "hedgehog", "amplitude": 2.0})
+    runs.append(("hmf-tube-escape", "solve-hmf", escape))
     norms = _config(2, 16, 32, 0.25, {"name": "modes", "amplitude": 0.5}, {"count": 3})
     runs.append(("norms", "norms", norms))
     for name, family in (
